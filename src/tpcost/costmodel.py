@@ -102,15 +102,21 @@ def full_reference_config() -> CostModelConfig:
 
 @dataclass
 class CostModelParams:
+    """Config plus named tensors, all stored in one flat vector; a plain
+    name -> array mapping is copied into one."""
+
     config: CostModelConfig
-    tensors: dict[str, np.ndarray]
+    tensors: nn.FlatTensors
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tensors, nn.FlatTensors):
+            self.tensors = nn.FlatTensors.pack(self.tensors)
 
     def n_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.tensors.flat.size
 
     def copy(self) -> "CostModelParams":
-        return CostModelParams(self.config,
-                               {k: v.copy() for k, v in self.tensors.items()})
+        return CostModelParams(self.config, self.tensors.copy())
 
 
 def init_params(config: CostModelConfig) -> CostModelParams:
@@ -269,18 +275,15 @@ def forward(params: CostModelParams,
     return pred, latents
 
 
-def _accumulate(grads: dict[str, np.ndarray], name: str,
-                value: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value
+def _accumulate(grads: nn.FlatTensors, name: str, value: np.ndarray) -> None:
+    view = grads[name]
+    view += value
 
 
-def _backward_group(t: dict[str, np.ndarray], config: CostModelConfig,
+def _backward_group(t: nn.FlatTensors, config: CostModelConfig,
                     cache: _GroupCache, dpred: np.ndarray,
                     dz_extra: np.ndarray | None,
-                    grads: dict[str, np.ndarray]) -> None:
+                    grads: nn.FlatTensors) -> None:
     du = dpred[:, None]
     du, dw, db = nn.linear_bwd(du, cache.u_last, t["dec.out.W"])
     _accumulate(grads, "dec.out.W", dw)
@@ -530,8 +533,10 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
              targets, loss: LossSpec,
              target_batch: list[EncodedInput] | None = None):
     """Loss value and the gradient of the configured objective w.r.t. every
-    parameter tensor. With alpha_cmd > 0 and a target batch, the CMD term
-    couples the two forward passes through the shared encoder."""
+    parameter tensor, as a fresh FlatTensors laid out like params.tensors
+    (zero where the batch does not reach). With alpha_cmd > 0 and a target
+    batch, the CMD term couples the two forward passes through the shared
+    encoder."""
     targets = np.asarray(targets, dtype=np.float64)
     pred, latents, caches = _forward(params, batch)
     if pred.shape != targets.shape:
@@ -540,7 +545,7 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
                                          loss.lambda_hybrid, loss.offset,
                                          mape_space=loss.mape_space,
                                          normalizer=loss.normalizer)
-    grads: dict[str, np.ndarray] = {}
+    grads = params.tensors.zeros_like()
     use_cmd = loss.alpha_cmd > 0.0 and target_batch is not None
     cmd_value = 0.0
     if use_cmd:
@@ -562,9 +567,6 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
         for cache in caches:
             _backward_group(params.tensors, params.config, cache,
                             dpred[cache.indices], None, grads)
-    for name in params.tensors:
-        if name not in grads:
-            grads[name] = np.zeros_like(params.tensors[name])
     if not math.isfinite(value):
         raise NonFiniteLoss(-1)
     return value, grads, {"pred": pred, "cmd": cmd_value}
@@ -623,10 +625,10 @@ def _lr_at(config: CostModelConfig, epoch: int) -> float:
     return floor + (config.lr - floor) * tri
 
 
-def _make_optimizer(config: CostModelConfig, names):
+def _make_optimizer(config: CostModelConfig):
     if config.optimizer == "adam":
-        return nn.Adam(names, weight_decay=config.weight_decay)
-    return nn.Sgd(names, weight_decay=config.weight_decay)
+        return nn.Adam(weight_decay=config.weight_decay)
+    return nn.Sgd(weight_decay=config.weight_decay)
 
 
 def _epoch_batches(rng: np.random.Generator, n_leaves: list[int],
@@ -685,7 +687,7 @@ def train(config: CostModelConfig, ds: Dataset,
     n_leaves = [enc.n_leaf for enc in train_inputs]
 
     params = init_params(config)
-    opt = _make_optimizer(config, params.tensors.keys())
+    opt = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
     spec = LossSpec(mode=config.loss_mode, lambda_hybrid=config.lambda_hybrid,
                     offset=normalizer.loss_offset,
@@ -739,7 +741,7 @@ def finetune(params: CostModelParams, source: Dataset,
     valid_latency = np.array([s.latency_s for s in valid_samples])
     n_leaves = [enc.n_leaf for enc in train_inputs]
 
-    opt = _make_optimizer(config, params.tensors.keys())
+    opt = _make_optimizer(config)
     rng = np.random.default_rng(config.seed)
     spec = LossSpec(mode=config.loss_mode, lambda_hybrid=config.lambda_hybrid,
                     alpha_cmd=config.alpha_cmd, cmd_order=config.cmd_order,

@@ -115,14 +115,6 @@ class BoxCoxNormalizer:
         return self.inverse_transform(np.asarray(e) * self.t_std + self.t_mean)
 
 
-def apply_normalizer(norm: BoxCoxNormalizer, y):
-    return norm.transform(y)
-
-
-def invert_normalizer(norm: BoxCoxNormalizer, t):
-    return norm.inverse_transform(t)
-
-
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for the maximizer of a unimodal f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -481,5 +473,11 @@ def load_dataset(path: str | Path) -> Dataset:
                 d = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {e}") from e
-            samples.append(sample_from_dict(d))
+            try:
+                samples.append(sample_from_dict(d))
+            except KeyError as e:
+                raise ValidationError(
+                    f"{path}:{lineno}: missing field {e}") from e
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"{path}:{lineno}: {e}") from e
     return Dataset(samples=samples)

@@ -395,20 +395,3 @@ def print_program(ast: ProgramAst) -> str:
     _print_node(ast.root, 1, out)
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def enclosing_loops(ast: ProgramAst) -> list[tuple[ComputeStats, list[LoopInfo]]]:
-    """Pre-order list of (leaf stats, enclosing loops outermost->innermost)."""
-    result: list[tuple[ComputeStats, list[LoopInfo]]] = []
-
-    def visit(node: AstNode, ctx: list[LoopInfo]) -> None:
-        if node.is_leaf:
-            result.append((node.stats, list(ctx)))
-            return
-        ctx.append(node.loop)
-        for child in node.children:
-            visit(child, ctx)
-        ctx.pop()
-
-    visit(ast.root, [])
-    return result

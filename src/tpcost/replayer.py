@@ -204,16 +204,28 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
 
 def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     """Graph JSON: nodes carry id/tir_key/device/gap_s/program_ref, edges are
-    [from, to] pairs. Returns the graph and the tir_key -> program_ref map."""
+    [from, to] pairs. Returns the graph and the tir_key -> program_ref map.
+    A graph without nodes, or a node that lacks a field or has a malformed
+    one, raises ValidationError naming the file and the node index."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
+    entries = data.get("nodes", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValidationError(
+            f"{path}: graph must be a JSON object with a list of nodes")
     nodes = []
     key_to_ref: dict[str, str] = {}
-    for entry in data.get("nodes", []):
-        node = DfgNode(id=str(entry["id"]), tir_key=str(entry["tir_key"]),
-                       gap=float(entry.get("gap_s", 0.0)),
-                       device=int(entry.get("device", 0)),
-                       duration=float(entry.get("duration_s", 0.0)))
+    for index, entry in enumerate(entries):
+        try:
+            node = DfgNode(id=str(entry["id"]), tir_key=str(entry["tir_key"]),
+                           gap=float(entry.get("gap_s", 0.0)),
+                           device=int(entry.get("device", 0)),
+                           duration=float(entry.get("duration_s", 0.0)))
+        except KeyError as e:
+            raise ValidationError(
+                f"{path}: node {index}: missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: node {index}: {e}") from e
         nodes.append(node)
         ref = entry.get("program_ref")
         if ref is not None:
@@ -221,7 +233,12 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
             if prev != str(ref):
                 raise ValidationError(
                     f"tir_key '{node.tir_key}' maps to multiple programs")
-    edges = [(str(a), str(b)) for a, b in data.get("edges", [])]
+    if not nodes:
+        raise ValidationError(f"{path}: graph has no nodes")
+    try:
+        edges = [(str(a), str(b)) for a, b in data.get("edges", [])]
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: edges must be [from, to] pairs") from e
     dfg = Dfg(nodes=nodes, edges=edges)
     dfg.validate()
     return dfg, key_to_ref

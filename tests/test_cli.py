@@ -292,3 +292,43 @@ def test_missing_dataset_is_input_error(tmp_path):
     cfg.write_text("dataset = /nonexistent/ds.jsonl\n", encoding="utf-8")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                  "dataset-split"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("graph", [
+    {"nodes": [], "edges": []},
+    {"nodes": [{"tir_key": "k0", "program_ref": "demo"}], "edges": []},
+    {"nodes": [{"id": "n0", "program_ref": "demo"}], "edges": []},
+])
+def test_bad_replay_graph_is_input_error(workdir, tmp_path, capsys, graph):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"""
+devices = {workdir}/synth/devices.json
+checkpoint = {workdir}/train/checkpoint.npz
+graph = {path}
+programs = {programs}
+device = synth0
+""", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "rp"),
+                 "replay"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(path) in err
+
+
+def test_dataset_line_without_field_is_input_error(workdir, tmp_path, capsys):
+    lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
+    broken = json.loads(lines[2])
+    del broken["task_id"]
+    lines[2] = json.dumps(broken)
+    data = tmp_path / "ds.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {data}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "dataset-split"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{data}:3:" in err and "task_id" in err

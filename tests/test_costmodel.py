@@ -209,6 +209,23 @@ def test_duplicated_batch_same_gradients(rng):
     assert loss2 == pytest.approx(loss1, rel=1e-12)
     for name in grads1:
         assert np.allclose(grads1[name], grads2[name], rtol=1e-9, atol=1e-12)
+    # every call returns a fresh flat vector laid out like the parameters
+    assert grads1.layout == params.tensors.layout
+    assert not np.shares_memory(grads1.flat, grads2.flat)
+
+
+def test_params_are_views_into_one_vector():
+    params = cm.init_params(TINY)
+    flat = params.tensors.flat
+    assert flat.size == params.n_params()
+    for tensor in params.tensors.values():
+        assert np.shares_memory(tensor, flat)
+    params.tensors["dec.out.b"] = np.array([0.5])
+    assert flat[-1] == 0.5  # dec.out.b is the last tensor
+    twin = params.copy()
+    assert not np.shares_memory(twin.tensors.flat, flat)
+    twin.tensors["dec.out.b"] += 1.0
+    assert flat[-1] == 0.5 and twin.tensors.flat[-1] == 1.5
 
 
 def test_backward_length_mismatch(rng):
@@ -400,6 +417,10 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in params.tensors:
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
     assert loaded.n_params() == params.n_params()
+    assert loaded.tensors.layout == params.tensors.layout
+    assert loaded.tensors.flat.tobytes() == params.tensors.flat.tobytes()
+    for tensor in loaded.tensors.values():
+        assert np.shares_memory(tensor, loaded.tensors.flat)
 
 
 def test_checkpoint_checksum_detects_corruption(tmp_path):

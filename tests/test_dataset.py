@@ -12,7 +12,7 @@ from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer, Dataset,
                             save_dataset, skewness, split_dataset,
                             synth_latency)
 from tpcost.errors import (DegenerateLabels, DomainError, EmptyDataset,
-                           MissingPeakFlops, NotFitted)
+                           MissingPeakFlops, NotFitted, ValidationError)
 from tpcost.features import DeviceSpec, build_compact_ast
 from tpcost.ir import parse_program
 
@@ -273,3 +273,31 @@ def test_jsonl_float_precision(tmp_path):
     assert d["latency_s"] == ds.samples[0].latency_s  # lossless round-trip
     rendered = line.split("\"latency_s\":")[1].rstrip("}")
     assert rendered == format(ds.samples[0].latency_s, ".17g")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("latency_s", None, "missing field 'latency_s'"),
+    ("latency_s", "fast", "could not convert"),
+    ("vectors", [["x"]], "could not convert"),
+])
+def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
+    ds = generate_synthetic(3, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    lines = [json.loads(sample_to_line(s)) for s in ds.samples]
+    if value is None:
+        del lines[1][field]
+    else:
+        lines[1][field] = value
+    path = tmp_path / "ds.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines),
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(path)
+    assert f"{path}:2:" in str(info.value) and message in str(info.value)
+
+
+def test_jsonl_non_object_line(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=":1:"):
+        load_dataset(path)

@@ -278,6 +278,25 @@ def test_load_graph_and_validation(tmp_path):
         load_graph(bad)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"nodes": [], "edges": []}, "no nodes"),
+    ({"nodes": [{"id": "a", "tir_key": "k"}, {"tir_key": "k"}]},
+     "node 1: missing field 'id'"),
+    ({"nodes": [{"id": "a"}]}, "node 0: missing field 'tir_key'"),
+    ({"nodes": [{"id": "a", "tir_key": "k", "gap_s": "soon"}]}, "node 0"),
+    ({"nodes": ["a"]}, "node 0"),
+    ({"nodes": [{"id": "a", "tir_key": "k"}], "edges": [["a"]]}, "edges"),
+    ([{"id": "a", "tir_key": "k"}], "JSON object"),
+    ({"nodes": 5}, "list of nodes"),
+])
+def test_load_graph_names_file_and_node(tmp_path, payload, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_graph(path)
+    assert str(path) in str(info.value) and message in str(info.value)
+
+
 def test_replay_model_chain_with_injected_oracle(tmp_path):
     programs = tmp_path / "programs.ir"
     programs.write_text(PROGRAMS_TEXT, encoding="utf-8")
