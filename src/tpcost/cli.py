@@ -27,7 +27,7 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import DomainError, TpcostError
+from .errors import DomainError, TpcostError, ValidationError
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
@@ -463,9 +463,19 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
     if device_name not in devices:
         raise TpcostError(f"unknown device '{device_name}'")
     rules = {}
-    if config.values.get("rules") is not None:
-        with open(config.values["rules"], "r", encoding="utf-8") as f:
-            rules = {str(k): int(v) for k, v in json.load(f).items()}
+    rules_path = config.values.get("rules")
+    if rules_path is not None:
+        with open(rules_path, "r", encoding="utf-8") as f:
+            rules = json.load(f)
+        if not isinstance(rules, dict):
+            raise ValidationError(
+                f"{rules_path}: rules must be a JSON object of op class to "
+                f"core count")
+        for op_class, k in rules.items():
+            if type(k) is not int:  # bool is an int subclass
+                raise ValidationError(
+                    f"{rules_path}: rule '{op_class}': core count must be a "
+                    f"JSON integer, got {k!r}")
     result = replayer.replay_model(config.require("graph"),
                                    config.require("programs"), params,
                                    devices[device_name], normalizer,

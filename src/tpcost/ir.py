@@ -26,7 +26,9 @@ Parsing is pure and deterministic; trees are immutable after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -166,75 +168,63 @@ def count_leaves(ast: ProgramAst) -> int:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | int | punct | annot | eof
     text: str
     line: int
     col: int
 
 
+# One alternative per lexeme, the common ones first. Every character but
+# " \t\r" starts a match (`other` catches the rest), so `finditer` skips
+# exactly the blanks between tokens. `\w` matches the characters for which
+# `str.isalnum()` holds, plus "_", but `\d` only decimal digits, a subset of
+# `str.isdigit()`: a run of word characters that is not a plain ASCII-led
+# identifier or a decimal number on its own goes to `word`, which splits it
+# by `isdigit` and `isalpha`.
+_LEXEME = re.compile(
+    r"(?P<ident>[A-Za-z_]\w*)|(?P<punct>\.\.|[{}=])|(?P<int>\d+(?!\w))"
+    r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<annot>@\w*)|(?P<word>\w+)"
+    r"|(?P<other>[^ \t\r])")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    end = len(text)  # where the last line ends for the eof column
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        col = m.start() - line_start + 1
+        if kind == "ident" or kind == "punct" or kind == "int":
+            tokens.append(_Token(kind, m.group(), line, col))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "{}=":
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == ".":
-            if text[i:i + 2] == "..":
-                tokens.append(_Token("punct", "..", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("expected '..'", start_line, start_col)
-        if ch == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i + 1:j]
+            line_start = m.end()
+            end = len(text)
+        elif kind == "comment":  # a comment does not advance the column
+            end = m.start()
+        elif kind == "annot":
+            word = m.group()[1:]
             if word not in ANNOTATIONS:
-                raise ParseError(f"unknown annotation '@{word}'", start_line, start_col)
-            tokens.append(_Token("annot", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+                raise ParseError(f"unknown annotation '@{word}'", line, col)
+            tokens.append(_Token("annot", word, line, col))
+        elif kind == "word":
+            # an int of any digits (such as "²"), then an identifier
+            word, k = m.group(), 0
+            while k < len(word) and word[k].isdigit():
+                k += 1
+            if k:
+                tokens.append(_Token("int", word[:k], line, col))
+            if k < len(word):
+                if not (word[k].isalpha() or word[k] == "_"):
+                    raise ParseError(f"unexpected character {word[k]!r}",
+                                     line, col + k)
+                tokens.append(_Token("ident", word[k:], line, col + k))
+        else:
+            ch = m.group()
+            msg = "expected '..'" if ch == "." else f"unexpected character {ch!r}"
+            raise ParseError(msg, line, col)
+    tokens.append(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -265,7 +255,11 @@ class _Parser:
 
     def expect_int(self) -> int:
         tok = self.expect("int")
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # non-decimal digits such as "²", or too many digits
+            raise ParseError(f"invalid integer {tok.text!r}",
+                             tok.line, tok.col) from None
 
     def parse_program(self) -> tuple[str, list[AstNode]]:
         self.expect("ident", "program")

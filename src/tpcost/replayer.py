@@ -2,6 +2,11 @@
 optionally split multi-core operators into parallel sub-nodes, and simulate
 the dataflow graph with one ready-queue per device.
 
+`dedup_predict` encodes every distinct kernel and runs the cost model once,
+as one batch. The durations match one `costmodel.predict` call per kernel
+within 1e-12 relative, not bit for bit: a batched matmul may sum in another
+order than a one-row one.
+
 Scheduling policy: devices are scanned in ascending (deviceTime, index)
 order and the first one with a non-empty queue dispatches next; within a
 queue the node with the smallest (readyTime, id) runs. A node enters its
@@ -13,9 +18,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import costmodel, features
 from .errors import CycleDetected, InvalidDevice, ValidationError
 from .features import CompactAst, build_compact_ast
 from .ir import parse_program
@@ -42,17 +48,20 @@ class Dfg:
     edges: list[tuple[str, str]] = field(default_factory=list)
 
     def validate(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate node ids")
-        known = set(ids)
+        succ, indeg = _index(self)
         for node in self.nodes:
             if node.duration < 0 or node.gap < 0:
                 raise ValidationError(f"node '{node.id}': negative time")
-        for src, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValidationError(f"edge ({src}, {dst}) references unknown node")
-        if _has_cycle(self):
+        frontier = [i for i, d in enumerate(indeg) if d == 0]
+        seen = 0
+        while frontier:
+            node = frontier.pop()
+            seen += 1
+            for nxt in succ[node]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    frontier.append(nxt)
+        if seen != len(self.nodes):
             raise CycleDetected("graph has a dependency cycle")
 
     def successors(self) -> dict[str, list[str]]:
@@ -61,26 +70,23 @@ class Dfg:
             succ[src].append(dst)
         return succ
 
-    def indegrees(self) -> dict[str, int]:
-        deg = {n.id: 0 for n in self.nodes}
-        for _, dst in self.edges:
-            deg[dst] += 1
-        return deg
 
-
-def _has_cycle(dfg: Dfg) -> bool:
-    deg = dfg.indegrees()
-    succ = dfg.successors()
-    frontier = [i for i, d in deg.items() if d == 0]
-    seen = 0
-    while frontier:
-        node = frontier.pop()
-        seen += 1
-        for nxt in succ[node]:
-            deg[nxt] -= 1
-            if deg[nxt] == 0:
-                frontier.append(nxt)
-    return seen != len(dfg.nodes)
+def _index(dfg: Dfg) -> tuple[list[list[int]], list[int]]:
+    """Successors and in-degrees by node position, through one {id: position}
+    map. Raises ValidationError for duplicate ids and for an edge to an
+    unknown node."""
+    index = {n.id: i for i, n in enumerate(dfg.nodes)}
+    if len(index) != len(dfg.nodes):
+        raise ValidationError("duplicate node ids")
+    succ: list[list[int]] = [[] for _ in dfg.nodes]
+    indeg = [0] * len(dfg.nodes)
+    for src, dst in dfg.edges:
+        s, t = index.get(src), index.get(dst)
+        if s is None or t is None:
+            raise ValidationError(f"edge ({src}, {dst}) references unknown node")
+        succ[s].append(t)
+        indeg[t] += 1
+    return succ, indeg
 
 
 @dataclass
@@ -99,39 +105,40 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
             raise InvalidDevice(
                 f"node '{node.id}' placed on device {node.device}, "
                 f"have {n_devices}")
-    nodes = {n.id: n for n in dfg.nodes}
-    succ = dfg.successors()
-    ref = dfg.indegrees()
-    ready_time = {n.id: 0.0 for n in dfg.nodes}
+    nodes = dfg.nodes
+    succ, ref = _index(dfg)
+    ready_time = [0.0] * len(nodes)
     device_time = [0.0] * n_devices
-    queues: list[list[tuple[float, str]]] = [[] for _ in range(n_devices)]
-    for node in dfg.nodes:
-        if ref[node.id] == 0:
-            heapq.heappush(queues[node.device], (0.0, node.id))
+    # heap entries (readyTime, id, index): ids are unique, so the index
+    # never decides the order
+    queues: list[list[tuple[float, str, int]]] = [[] for _ in range(n_devices)]
+    for i, node in enumerate(nodes):
+        if ref[i] == 0:
+            heapq.heappush(queues[node.device], (0.0, node.id, i))
 
     schedule: dict[str, tuple[float, float]] = {}
     scheduled = 0
     while True:
         pick = -1
-        for d in sorted(range(n_devices), key=lambda d: (device_time[d], d)):
-            if queues[d]:
+        for d in range(n_devices):  # smallest (deviceTime, index) with work
+            if queues[d] and (pick < 0 or device_time[d] < device_time[pick]):
                 pick = d
-                break
         if pick < 0:
             break
-        _, node_id = heapq.heappop(queues[pick])
-        node = nodes[node_id]
-        start = max(device_time[pick], ready_time[node_id])
+        _, node_id, i = heapq.heappop(queues[pick])
+        node = nodes[i]
+        start = max(device_time[pick], ready_time[i])
         end = start + node.duration
         schedule[node_id] = (start, end)
-        device_time[pick] = end + node.gap
+        done = device_time[pick] = end + node.gap
         scheduled += 1
-        for child in succ[node_id]:
+        for child in succ[i]:
             ref[child] -= 1
-            ready_time[child] = max(ready_time[child], end + node.gap)
+            if done > ready_time[child]:
+                ready_time[child] = done
             if ref[child] == 0:
                 heapq.heappush(queues[nodes[child].device],
-                               (ready_time[child], child))
+                               (ready_time[child], nodes[child].id, child))
     if scheduled != len(dfg.nodes):
         raise CycleDetected(
             f"{len(dfg.nodes) - scheduled} nodes never became ready")
@@ -152,21 +159,17 @@ def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
     for node in dfg.nodes:
         k = rules.get(node.op_class, 1)
         if k == 1:
-            nodes.append(replace(node))
+            nodes.append(DfgNode(node.id, node.tir_key, node.duration,
+                                 node.gap, node.device))
             expansion[node.id] = [node.id]
             continue
-        sub_ids = []
-        for i in range(k):
-            sub = replace(node, id=f"{node.id}#{i}", duration=node.duration / k,
-                          device=node.device + i)
-            nodes.append(sub)
-            sub_ids.append(sub.id)
+        sub_ids = [f"{node.id}#{i}" for i in range(k)]
+        nodes.extend(DfgNode(sub_id, node.tir_key, node.duration / k,
+                             node.gap, node.device + i)
+                     for i, sub_id in enumerate(sub_ids))
         expansion[node.id] = sub_ids
-    edges = []
-    for src, dst in dfg.edges:
-        for s in expansion[src]:
-            for t in expansion[dst]:
-                edges.append((s, t))
+    edges = [(s, t) for src, dst in dfg.edges
+             for s in expansion[src] for t in expansion[dst]]
     out = Dfg(nodes=nodes, edges=edges)
     out.validate()
     return out
@@ -174,25 +177,23 @@ def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
 
 def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
                   device, normalizer, predictor=None) -> dict[str, float]:
-    """Fill every node's duration with one prediction per distinct tir_key.
+    """Fill every node's duration with one prediction per distinct tir_key,
+    taken in order of first appearance.
 
-    `programs` maps tir_key to the program's compact AST. A custom
-    `predictor(compact, device)` can replace the cost model (used in tests
-    and by oracle replays)."""
+    `programs` maps tir_key to the program's compact AST. The cost model
+    predicts all keys in one batch. A custom `predictor(compact, device)`
+    can replace it (used in tests and by oracle replays); it is called once
+    per key."""
+    keys = list(dict.fromkeys(node.tir_key for node in dfg.nodes))
+    for key in keys:
+        if key not in programs:
+            raise ValidationError(f"no program for tir_key '{key}'")
     if predictor is None:
-        from .costmodel import predict as model_predict
-
-        def predictor(compact, dev):
-            return model_predict(params, compact, dev, normalizer)
-
-    durations: dict[str, float] = {}
-    for node in dfg.nodes:
-        if node.tir_key not in durations:
-            if node.tir_key not in programs:
-                raise ValidationError(
-                    f"no program for tir_key '{node.tir_key}'")
-            durations[node.tir_key] = float(
-                predictor(programs[node.tir_key], device))
+        inputs = [features.encode_input(programs[key], device) for key in keys]
+        values = costmodel.predict_batch(params, inputs, normalizer).tolist()
+    else:
+        values = [float(predictor(programs[key], device)) for key in keys]
+    durations = dict(zip(keys, values))
     for node in dfg.nodes:
         node.duration = durations[node.tir_key]
     return durations

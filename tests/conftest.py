@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tpcost.ir import ComputeStats, LoopInfo, leaf, loop, make_program
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic.
+settings.register_profile("tpcost", derandomize=True, database=None)
+settings.load_profile("tpcost")
 
 
 @pytest.fixture

@@ -318,6 +318,38 @@ device = synth0
     assert "Traceback" not in err and str(path) in err
 
 
+@pytest.mark.parametrize("rules, message", [
+    ({"k1": "x"}, "rule 'k1'"),
+    ({"k1": True}, "rule 'k1'"),
+    ({"k1": 2.5}, "rule 'k1'"),
+    ({"k1": 2, "k2": None}, "rule 'k2'"),
+    (["k1", 2], "JSON object"),
+    (4, "JSON object"),
+])
+def test_bad_replay_rules_are_input_error(workdir, tmp_path, capsys, rules,
+                                          message):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(GRAPH), encoding="utf-8")
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules), encoding="utf-8")
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"""
+devices = {workdir}/synth/devices.json
+checkpoint = {workdir}/train/checkpoint.npz
+graph = {graph}
+programs = {programs}
+rules = {path}
+device = synth0
+""", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "rp"),
+                 "replay"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err and message in err
+
+
 def test_dataset_line_without_field_is_input_error(workdir, tmp_path, capsys):
     lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
     broken = json.loads(lines[2])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_program
 from tpcost.errors import ParseError, ValidationError
-from tpcost.ir import (ComputeStats, LoopInfo, count_leaves, leaf, loop,
-                       make_program, parse_program, print_program)
+from tpcost.ir import (ANNOTATIONS, ComputeStats, LoopInfo, _tokenize,
+                       count_leaves, leaf, loop, make_program, parse_program,
+                       print_program)
 
 SIMPLE = "for i in 0..4 { compute A { fma=2 bytes_read=16 bytes_written=8 } }"
 
@@ -185,3 +188,131 @@ def test_validation_of_programmatic_trees():
     with pytest.raises(ValidationError):
         make_program("p", loop(LoopInfo("i", 0),
                                (leaf("c", ComputeStats(fma_count=1)),)))
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer against the character-loop reference, and parse_program's
+# exception promise, over generated strings
+# ---------------------------------------------------------------------------
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer that the regex tokenizer
+    replaced, kept as the reference. Returns (kind, text, line, col) tuples."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in "{}=":
+            tokens.append(("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == ".":
+            if text[i:i + 2] == "..":
+                tokens.append(("punct", "..", start_line, start_col))
+                i += 2
+                col += 2
+                continue
+            raise ParseError("expected '..'", start_line, start_col)
+        if ch == "@":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i + 1:j]
+            if word not in ANNOTATIONS:
+                raise ParseError(f"unknown annotation '@{word}'", start_line, start_col)
+            tokens.append(("annot", word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ParseError as e:
+        return (type(e), str(e), e.line, e.col)
+
+
+# The grammar's own characters plus the ones where `\d` and `str.isdigit`
+# or `\w` and `str.isalpha` disagree: superscript and Arabic-Indic digits,
+# a vulgar fraction, a roman numeral, a non-ASCII letter and a lone dot.
+_GRAMMAR_ALPHABET = ("programforinc0123456789_ {}=.@#\n\t\r"
+                     "vectorizeunrollparallelfmabytes_read"
+                     "²¹³٣½Ⅻéß")
+_grammar_text = st.text(alphabet=_GRAMMAR_ALPHABET, max_size=80)
+_grammar_words = st.lists(
+    st.sampled_from(["program", "p", "for", "i", "in", "0", "0..", "..", "4",
+                     "²", "¹", "٣", "½", "{", "}", "=", "fma", "bytes_read",
+                     "compute", "@parallel", "@unroll", "@vec", "@", "#x\n",
+                     "#", " ", "\n", "\t", "é"]),
+    max_size=40).map("".join)
+# Well-formed programs except for the integers, which may hold digits that
+# int() rejects.
+_int_text = st.text(alphabet="0123456789²¹٣", min_size=1, max_size=4)
+_program_like = st.builds(
+    "program p {{ for i in 0..{} {} {{ compute c {{ {}={} }} }} }}".format,
+    _int_text, st.sampled_from(["", "@parallel", "@unroll @unroll"]),
+    st.sampled_from(["fma", "bytes_read", "flops"]), _int_text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(max_size=60), _grammar_text, _grammar_words))
+def test_tokenizer_matches_reference(text):
+    assert _tokens_or_error(_tokenize, text) == \
+        _tokens_or_error(_reference_tokenize, text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(max_size=80), _grammar_text, _grammar_words,
+                 _program_like))
+def test_parse_program_raises_only_parse_or_validation_errors(text):
+    try:
+        assert parse_program(text).n_leaf >= 1
+    except (ParseError, ValidationError):
+        pass
+
+
+@pytest.mark.parametrize("extent, count", [("²", "1"), ("4", "¹")])
+def test_invalid_integer_is_parse_error(extent, count):
+    # str.isdigit accepts superscripts, int() rejects them
+    text = f"program p {{ for i in 0..{extent} {{ compute a {{ fma={count} }} }} }}"
+    bad = extent if extent == "²" else count
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.line, info.value.col) == (1, text.index(bad) + 1)
+    assert "invalid integer" in str(info.value)

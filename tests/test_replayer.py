@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from oracle_sim import oracle_simulate
+from tpcost import costmodel
+from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer,
+                            random_program)
 from tpcost.errors import CycleDetected, InvalidDevice, ValidationError
+from tpcost.features import build_compact_ast
 from tpcost.replayer import (Dfg, DfgNode, dedup_predict,
                              expand_device_parallel, load_graph,
                              load_programs, replay_model, simulate)
@@ -180,6 +185,29 @@ def test_expand_node_count_and_work(rng):
         pytest.approx(sum(n.duration for n in dfg.nodes), rel=1e-12)
 
 
+def test_expand_id_collision_rejected():
+    dfg = _dfg([("a", "conv:x", 2.0, 0.0, 0), ("a#0", "io:y", 1.0, 0.0, 0)],
+               [("a", "a#0")])
+    with pytest.raises(ValidationError, match="duplicate node ids"):
+        expand_device_parallel(dfg, {"conv": 2})
+
+
+def test_simulate_expanded_matches_bruteforce_oracle(rng):
+    for _ in range(200):
+        dfg, _ = rand_dag(rng)
+        keys = sorted({n.tir_key for n in dfg.nodes})
+        rules = {key: int(rng.integers(1, 4)) for key in keys
+                 if rng.random() < 0.4}
+        out = expand_device_parallel(dfg, rules)
+        n_devices = max(n.device for n in out.nodes) + 1
+        result = simulate(out, n_devices)
+        nodes = [(n.id, n.duration, n.gap, n.device) for n in out.nodes]
+        expected_time, expected_schedule = oracle_simulate(nodes, out.edges,
+                                                           n_devices)
+        assert result.iteration_time == expected_time
+        assert result.schedule == expected_schedule
+
+
 # ---------------------------------------------------------------------------
 # dedup_predict
 # ---------------------------------------------------------------------------
@@ -227,6 +255,39 @@ def test_dedup_key_hash_plumbing():
                   predictor=keyed)
     for node in dfg.nodes:
         assert node.duration == table[node.tir_key]
+
+
+def test_dedup_default_batch_matches_per_key_predict(monkeypatch):
+    rng = np.random.default_rng(7)
+    params = costmodel.init_params(costmodel.desk_config())
+    # log-scale decoding is defined for every model output, trained or not
+    norm = BoxCoxNormalizer(lambda_bc=0.0, fitted=True, t_mean=-7.0,
+                            t_std=2.0)
+    programs = {f"op{j % 3}:k{j}": build_compact_ast(random_program(rng, f"k{j}"))
+                for j in range(40)}
+    keys = list(programs)
+    nodes = [(f"n{i}", keys[int(rng.integers(0, len(keys)))], 0.0, 0.0, 0)
+             for i in range(150)]
+    dfg = _dfg(nodes, [])
+    used = list(dict.fromkeys(n.tir_key for n in dfg.nodes))
+    expected = {key: costmodel.predict(params, programs[key],
+                                       DEFAULT_SYNTH_DEVICE, norm)
+                for key in used}
+    forwards = []
+    real_forward = costmodel._forward
+
+    def counting_forward(p, inputs):
+        forwards.append(len(inputs))
+        return real_forward(p, inputs)
+
+    monkeypatch.setattr(costmodel, "_forward", counting_forward)
+    durations = dedup_predict(dfg, programs, params, DEFAULT_SYNTH_DEVICE,
+                              norm)
+    assert forwards == [len(used)]
+    assert list(durations) == used
+    for key in used:
+        assert durations[key] == pytest.approx(expected[key], rel=1e-12)
+    assert all(n.duration == durations[n.tir_key] for n in dfg.nodes)
 
 
 def test_dedup_missing_program():
