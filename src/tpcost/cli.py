@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,26 +88,6 @@ _SCHEMA: dict[str, tuple] = {
     "per_leaf_overhead_s": (float, 2e-6),
     "noise_sigma": (float, 0.0),
     "oracle_seed": (int, 0),
-    # model architecture / optimization
-    "d_model": (int, 64),
-    "n_layers": (int, 2),
-    "n_heads": (int, 2),
-    "d_ff": (int, 128),
-    "d_embed": (int, 32),
-    "d_device": (int, 16),
-    "decoder_dims": (_ints, (64, 64)),
-    "n_leaf_max": (int, 16),
-    "lambda_hybrid": (float, 1e-3),
-    "alpha_cmd": (float, 0.0),
-    "cmd_order": (int, 5),
-    "lr": (float, 1e-3),
-    "weight_decay": (float, 0.0),
-    "optimizer": (str, "adam"),
-    "lr_schedule": (str, "constant"),
-    "batch_size": (int, 64),
-    "epochs": (int, 300),
-    "loss_mode": (str, "hybrid"),
-    "mape_space": (str, "transformed"),
     # splitting
     "split_seed": (int, 0),
     "holdout_models": (_strs, ()),
@@ -118,15 +98,14 @@ _SCHEMA: dict[str, tuple] = {
     "kappa": (int, 4),
     "budget": (int, 8),
     "tune_epochs": (int, 10),
-    # global
-    "seed": (int, 0),
 }
 
-_MODEL_KEYS = ("d_model", "n_layers", "n_heads", "d_ff", "d_embed",
-               "d_device", "decoder_dims", "n_leaf_max", "lambda_hybrid",
-               "alpha_cmd", "cmd_order", "lr", "weight_decay", "optimizer",
-               "lr_schedule", "batch_size", "epochs", "loss_mode",
-               "mape_space", "seed")
+# model architecture / optimization, plus the global seed: every
+# CostModelConfig field, parsed by the type of its default
+_MODEL_KEYS = tuple(f.name for f in fields(cm.CostModelConfig))
+_SCHEMA.update({f.name: (_ints if isinstance(f.default, tuple)
+                         else type(f.default), f.default)
+                for f in fields(cm.CostModelConfig)})
 
 
 class RunConfig:
@@ -146,11 +125,8 @@ class RunConfig:
             raise TpcostError(f"config key '{key}' is required for this command")
         return value
 
-    def model_config(self, seed_override: int | None = None) -> cm.CostModelConfig:
-        kwargs = {k: self.values[k] for k in _MODEL_KEYS}
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        return cm.CostModelConfig(**kwargs)
+    def model_config(self) -> cm.CostModelConfig:
+        return cm.CostModelConfig(**{k: self.values[k] for k in _MODEL_KEYS})
 
 
 def load_run_config(path: str | None, seed_override: int | None = None) -> RunConfig:
@@ -354,7 +330,7 @@ def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     source = _load_split_dataset(config)
     target = load_dataset(config.require("target_dataset"))
     target_inputs = cm.encode_dataset(target.samples, devices)
-    model_config = replace(config.model_config(), alpha_cmd=config.alpha_cmd)
+    model_config = config.model_config()
     source_train_inputs = cm.encode_dataset(source.subset("train"), devices)
     cmd_before = cm.cmd_between(params, source_train_inputs, target_inputs,
                                 model_config.cmd_order)

@@ -354,8 +354,8 @@ def loss_pretrain(pred, y, lambda_hybrid: float = 1e-3) -> float:
         raise ValidationError("pred and y must have equal length")
     if np.any(y <= 0):
         raise ValidationError("labels must be positive for the relative term")
-    diff = pred - y
-    return float(np.mean(diff ** 2) + lambda_hybrid * np.mean(np.abs(diff) / y))
+    value, _ = _supervised_loss_grad(pred, y, "hybrid", lambda_hybrid, 0.0)
+    return value
 
 
 def _decode_with_grad(norm: BoxCoxNormalizer, e: np.ndarray):
@@ -567,8 +567,6 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
         for cache in caches:
             _backward_group(params.tensors, params.config, cache,
                             dpred[cache.indices], None, grads)
-    if not math.isfinite(value):
-        raise NonFiniteLoss(-1)
     return value, grads, {"pred": pred, "cmd": cmd_value}
 
 
@@ -668,73 +666,23 @@ def _evaluate(params: CostModelParams, inputs: list[EncodedInput],
     return metrics(pred, latencies)
 
 
-def train(config: CostModelConfig, ds: Dataset,
-          devices: dict[str, DeviceSpec],
-          normalizer: BoxCoxNormalizer | None = None) -> TrainResult:
-    """Seeded minibatch training on the train split; returns the parameters
-    with the best validation MAPE (measured in the original label space)."""
-    config.validate()
+def _train_valid(ds: Dataset, caller: str):
     train_samples = ds.subset("train")
     valid_samples = ds.subset("valid")
     if not train_samples or not valid_samples:
-        raise EmptyDataset("train() needs non-empty train and valid splits")
-    if normalizer is None:
-        normalizer = fit_boxcox([s.latency_s for s in train_samples])
-    train_inputs = encode_dataset(train_samples, devices)
-    valid_inputs = encode_dataset(valid_samples, devices)
-    targets = normalizer.encode(np.array([s.latency_s for s in train_samples]))
-    valid_latency = np.array([s.latency_s for s in valid_samples])
-    n_leaves = [enc.n_leaf for enc in train_inputs]
-
-    params = init_params(config)
-    opt = _make_optimizer(config)
-    rng = np.random.default_rng(config.seed)
-    spec = LossSpec(mode=config.loss_mode, lambda_hybrid=config.lambda_hybrid,
-                    offset=normalizer.loss_offset,
-                    mape_space=config.mape_space, normalizer=normalizer)
-    log: list[EpochLog] = []
-    best = params.copy()
-    best_mape = math.inf
-    best_epoch = -1
-    for epoch in range(config.epochs):
-        lr = _lr_at(config, epoch)
-        losses = []
-        for batch_idx in _epoch_batches(rng, n_leaves, config.batch_size):
-            batch = [train_inputs[i] for i in batch_idx]
-            value, grads, _ = backward(params, batch, targets[batch_idx], spec)
-            if not math.isfinite(value):
-                raise NonFiniteLoss(epoch)
-            losses.append(value)
-            opt.step(params.tensors, grads, lr)
-        val = _evaluate(params, valid_inputs, valid_latency, normalizer)
-        log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
-                            val_mape=val["mape"], val_rmse=val["rmse"], lr=lr))
-        if val["mape"] < best_mape:
-            best_mape = val["mape"]
-            best_epoch = epoch
-            best = params.copy()
-    if best_epoch < 0:  # epochs == 0 or validation never finite
-        best = params
-        best_mape = math.inf
-    return TrainResult(params=best, normalizer=normalizer, log=log,
-                       best_epoch=best_epoch, best_val_mape=best_mape)
+        raise EmptyDataset(f"{caller}() needs non-empty train and valid splits")
+    return train_samples, valid_samples
 
 
-def finetune(params: CostModelParams, source: Dataset,
-             target_inputs: list[EncodedInput], config: CostModelConfig,
-             devices: dict[str, DeviceSpec],
-             normalizer: BoxCoxNormalizer) -> TrainResult:
-    """Continue training on labeled source data while pulling source and
-    target latent distributions together (CMD on the aggregated embedding z,
-    weight alpha_cmd). Target samples need features only, no labels."""
-    config.validate()
-    train_samples = source.subset("train")
-    valid_samples = source.subset("valid")
-    if not train_samples or not valid_samples:
-        raise EmptyDataset("finetune() needs non-empty train and valid splits")
-    if config.alpha_cmd > 0 and not target_inputs:
-        raise EmptyDataset("finetune() with alpha_cmd > 0 needs target inputs")
-    params = params.copy()
+def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
+         valid_samples, devices: dict[str, DeviceSpec],
+         normalizer: BoxCoxNormalizer,
+         target_inputs: list[EncodedInput] | None,
+         keep_best: bool) -> TrainResult:
+    """The epoch loop shared by `train` and `finetune`. Updates `params` in
+    place. With a target pool, every step adds the CMD term against target
+    samples drawn from it. `keep_best` returns the parameters of the epoch
+    with the lowest validation MAPE; otherwise the last epoch's."""
     train_inputs = encode_dataset(train_samples, devices)
     valid_inputs = encode_dataset(valid_samples, devices)
     targets = normalizer.encode(np.array([s.latency_s for s in train_samples]))
@@ -747,13 +695,14 @@ def finetune(params: CostModelParams, source: Dataset,
                     alpha_cmd=config.alpha_cmd, cmd_order=config.cmd_order,
                     offset=normalizer.loss_offset,
                     mape_space=config.mape_space, normalizer=normalizer)
-    log: list[EpochLog] = []
     # source batches are bucketed by n_leaf, so pair each with target samples
     # of the same leaf count where possible; the CMD term then aligns the
     # distributions conditioned on the routing variable
     target_buckets: dict[int, list[EncodedInput]] = {}
-    for enc in target_inputs:
+    for enc in target_inputs or ():
         target_buckets.setdefault(enc.n_leaf, []).append(enc)
+    log: list[EpochLog] = []
+    best, best_epoch, best_mape = params, -1, math.inf
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
         losses = []
@@ -761,7 +710,7 @@ def finetune(params: CostModelParams, source: Dataset,
         for batch_idx in _epoch_batches(rng, n_leaves, config.batch_size):
             batch = [train_inputs[i] for i in batch_idx]
             target_batch = None
-            if config.alpha_cmd > 0:
+            if target_inputs:
                 pool = target_buckets.get(batch[0].n_leaf) or target_inputs
                 take = min(config.batch_size, len(pool))
                 picked_idx = rng.choice(len(pool), size=take, replace=False)
@@ -777,9 +726,43 @@ def finetune(params: CostModelParams, source: Dataset,
         log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
                             val_mape=val["mape"], val_rmse=val["rmse"],
                             lr=lr, cmd=float(np.mean(cmd_values))))
-    return TrainResult(params=params, normalizer=normalizer, log=log,
-                       best_epoch=config.epochs - 1,
-                       best_val_mape=log[-1].val_mape if log else math.inf)
+        if not keep_best or val["mape"] < best_mape:
+            best_epoch, best_mape = epoch, val["mape"]
+            best = params.copy() if keep_best else params
+    return TrainResult(params=best, normalizer=normalizer, log=log,
+                       best_epoch=best_epoch, best_val_mape=best_mape)
+
+
+def train(config: CostModelConfig, ds: Dataset,
+          devices: dict[str, DeviceSpec],
+          normalizer: BoxCoxNormalizer | None = None) -> TrainResult:
+    """Seeded minibatch training on the train split from fresh parameters.
+    Returns the parameters of the epoch with the best validation MAPE
+    (measured in the original label space), or the last ones if no epoch
+    had a finite one. There is no target pool, so `alpha_cmd` is ignored."""
+    config.validate()
+    train_samples, valid_samples = _train_valid(ds, "train")
+    if normalizer is None:
+        normalizer = fit_boxcox([s.latency_s for s in train_samples])
+    return _fit(init_params(config), config, train_samples, valid_samples,
+                devices, normalizer, None, keep_best=True)
+
+
+def finetune(params: CostModelParams, source: Dataset,
+             target_inputs: list[EncodedInput], config: CostModelConfig,
+             devices: dict[str, DeviceSpec],
+             normalizer: BoxCoxNormalizer) -> TrainResult:
+    """Continue training a copy of `params` on labeled source data while
+    pulling source and target latent distributions together (CMD on the
+    aggregated embedding z, weight alpha_cmd). Target samples need features
+    only, no labels. Returns the last epoch, whatever its validation MAPE."""
+    config.validate()
+    train_samples, valid_samples = _train_valid(source, "finetune")
+    if config.alpha_cmd > 0 and not target_inputs:
+        raise EmptyDataset("finetune() with alpha_cmd > 0 needs target inputs")
+    return _fit(params.copy(), config, train_samples, valid_samples, devices,
+                normalizer, target_inputs if config.alpha_cmd > 0 else None,
+                keep_best=False)
 
 
 def cmd_between(params: CostModelParams, source_inputs: list[EncodedInput],

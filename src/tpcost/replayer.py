@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import costmodel, features
 from .errors import CycleDetected, InvalidDevice, ValidationError
 from .features import CompactAst, build_compact_ast
-from .ir import parse_program
+from .ir import MAX_LEAVES_DEFAULT, parse_program
 
 OP_CLASS_SEPARATOR = ":"  # op class = tir_key up to the first separator
 
@@ -246,7 +247,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
 
 
 def load_programs(path: str | Path,
-                  max_leaves: int = 16) -> dict[str, CompactAst]:
+                  max_leaves: int = MAX_LEAVES_DEFAULT) -> dict[str, CompactAst]:
     """Sidecar IR file: concatenated `program NAME { ... }` blocks. Returns
     compact ASTs keyed by program name."""
     text = Path(path).read_text(encoding="utf-8")
@@ -259,24 +260,22 @@ def load_programs(path: str | Path,
     return programs
 
 
+_BLOCK_TOKEN = re.compile(r"#[^\n]*|[{}]")
+
+
 def _split_programs(text: str) -> list[str]:
-    """Split concatenated program blocks at top-level closing braces."""
+    """Split concatenated program blocks at top-level closing braces; braces
+    inside `#` comments do not count."""
     boundaries = []
     depth = 0
-    in_comment = False
-    for i, ch in enumerate(text):
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-            continue
-        if ch == "#":
-            in_comment = True
-        elif ch == "{":
+    for m in _BLOCK_TOKEN.finditer(text):
+        ch = m.group()
+        if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
             if depth == 0:
-                boundaries.append(i)
+                boundaries.append(m.start())
     chunks = []
     prev = 0
     for end in boundaries:
@@ -293,9 +292,11 @@ def replay_model(graph_path: str | Path, programs_path: str | Path, params,
                  device, normalizer, rules: dict[str, int] | None = None,
                  predictor=None) -> SimResult:
     """Load graph + programs, predict per-kernel durations, expand parallel
-    operators, and simulate."""
+    operators, and simulate. Programs may have up to the model's
+    `n_leaf_max` leaves (the parser's default without a model)."""
     dfg, key_to_ref = load_graph(graph_path)
-    compacts = load_programs(programs_path)
+    compacts = load_programs(programs_path, max_leaves=(
+        MAX_LEAVES_DEFAULT if params is None else params.config.n_leaf_max))
     programs = {}
     for key, ref in key_to_ref.items():
         if ref not in compacts:

@@ -25,6 +25,8 @@ from tpcost.features import (N_ENTRY, CompactAst, EncodedInput, encode_input,
 from tpcost.replayer import Dfg, DfgNode, simulate
 from tpcost.sampling import TaskFeatureSet, select_tasks
 
+pytestmark = pytest.mark.acceptance
+
 DEVICES = {DEFAULT_SYNTH_DEVICE.name: DEFAULT_SYNTH_DEVICE}
 
 

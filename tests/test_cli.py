@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from tpcost.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, load_run_config,
                         main)
+from tpcost.costmodel import CostModelConfig
 from tpcost.errors import TpcostError
 
 IR_OK = """program demo {
@@ -88,6 +90,23 @@ lr = 5e-4
     assert config.d_model == 64  # untouched default
     with pytest.raises(TpcostError):
         config.require("dataset")
+
+
+def test_model_keys_follow_cost_model_config(tmp_path):
+    defaults = load_run_config(None)
+    for f in fields(CostModelConfig):
+        assert defaults.values[f.name] == f.default, f.name
+    assert defaults.model_config() == CostModelConfig()
+    # each key parses the text of its default back to the default
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("".join(
+        f"{f.name} = "
+        f"{','.join(map(str, f.default)) if isinstance(f.default, tuple) else f.default}\n"
+        for f in fields(CostModelConfig)), encoding="utf-8")
+    parsed = load_run_config(str(cfg_file)).model_config()
+    assert parsed == CostModelConfig()
+    assert all(type(getattr(parsed, f.name)) is type(f.default)
+               for f in fields(CostModelConfig))
 
 
 def test_extract_happy_and_partial_failure(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from tpcost import costmodel as cm
 from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, SynthOracleConfig,
                             generate_synthetic, split_dataset)
 from tpcost.errors import (CheckpointError, EmptyBatch, EmptySelection,
-                           EmptySet, LeafCountExceeded, ValidationError)
-from tpcost.features import N_ENTRY, EncodedInput
+                           EmptySet, LeafCountExceeded, NonFiniteLoss,
+                           ValidationError)
+from tpcost.features import N_ENTRY, DeviceSpec, EncodedInput
 
 DEVICES = {DEFAULT_SYNTH_DEVICE.name: DEFAULT_SYNTH_DEVICE}
 
@@ -340,6 +343,83 @@ def test_finetune_on_identical_domain_does_not_regress():
     # target features identical to source: validation MAPE stays within
     # 2 points of the pre-fine-tune value
     assert tuned.log[-1].val_mape <= pre.best_val_mape + 0.02
+
+
+PIN_CONFIG = cm.desk_config(epochs=6, seed=5, d_model=16, d_ff=16, d_embed=8,
+                           d_device=4, decoder_dims=(8,), batch_size=32)
+PIN_TARGET = DeviceSpec(name="synth1", clock_mhz=1400.0, mem_gb=24.0,
+                        bandwidth_gbps=1536.0, cores=24,
+                        peak_fp32_gflops=4096.0, l2_cache_mb=6.0)
+# Outputs of the separate train and finetune epoch loops this loop replaced:
+# sha256 prefix of the parameter bytes, best_epoch, best_val_mape, log length
+# and the last EpochLog (epoch, train_loss, val_mape, val_rmse, lr, cmd).
+PINNED = {
+    "train": ("ac1862ae7c271224", 4, "0x1.47479074f8bbep-1", 6,
+              (5, "0x1.30b78ea24ceb8p-2", "0x1.841a96f807ddbp-1",
+               "0x1.ca0eca67600a1p-13", "0x1.0624dd2f1a9fcp-10", "0x0.0p+0")),
+    "train_e0": ("89180952d358cc8d", -1, "inf", 0, None),
+    "finetune0": ("ee71760db0f25179", 2, "0x1.b570dda180a67p-1", 3,
+                  (2, "0x1.1d12f401a471cp-2", "0x1.b570dda180a67p-1",
+                   "0x1.72446177303dcp-13", "0x1.3a92a30553261p-12",
+                   "0x0.0p+0")),
+    "finetune1": ("463491c459a93a27", 2, "0x1.a285d3991de39p-1", 3,
+                  (2, "0x1.d58cd4f110316p+0", "0x1.a285d3991de39p-1",
+                   "0x1.a766fec0fa486p-13", "0x1.3a92a30553261p-12",
+                   "0x1.84e0ab47a6052p+0")),
+    "finetune_e0": ("ac1862ae7c271224", -1, "inf", 0, None),
+}
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("train", {"alpha_cmd": 0.0}),
+    ("train", {"alpha_cmd": 1.0}),  # train has no target pool: no CMD term
+    ("train_e0", {"epochs": 0}),
+    ("finetune0", {"alpha_cmd": 0.0}),
+    ("finetune1", {"alpha_cmd": 1.0}),
+    ("finetune_e0", {"alpha_cmd": 1.0, "epochs": 0}),
+])
+def test_training_loop_pinned_bit_for_bit(kind, overrides):
+    devices = {d.name: d for d in (DEFAULT_SYNTH_DEVICE, PIN_TARGET)}
+    ds = split_dataset(generate_synthetic(128, [DEFAULT_SYNTH_DEVICE],
+                                          SynthOracleConfig(), seed=5), seed=5)
+    if kind.startswith("train"):
+        result = cm.train(replace(PIN_CONFIG, **overrides), ds, devices)
+    else:
+        pre = cm.train(PIN_CONFIG, ds, devices)
+        pool = generate_synthetic(48, [PIN_TARGET], SynthOracleConfig(), seed=6)
+        config = replace(PIN_CONFIG, lr=3e-4, **{"epochs": 3, **overrides})
+        result = cm.finetune(pre.params, ds,
+                             cm.encode_dataset(pool.samples, devices), config,
+                             devices, pre.normalizer)
+    last = result.log[-1] if result.log else None
+    got = (hashlib.sha256(result.params.tensors.flat.tobytes()).hexdigest()[:16],
+           result.best_epoch, float(result.best_val_mape).hex(),
+           len(result.log),
+           None if last is None else (
+               last.epoch, last.train_loss.hex(), last.val_mape.hex(),
+               last.val_rmse.hex(), last.lr.hex(), last.cmd.hex()))
+    assert got == PINNED[kind]
+
+
+@pytest.mark.parametrize("alpha_cmd", [0.0, 1.0])
+def test_diverging_run_reports_its_epoch(alpha_cmd):
+    ds = _tiny_split_dataset(n=128, seed=2)
+    config = cm.desk_config(optimizer="sgd", lr=1e3, epochs=5, seed=2,
+                            d_model=16, d_ff=16, d_embed=8, d_device=4,
+                            decoder_dims=(8,), batch_size=32)
+    stable = cm.desk_config(epochs=1, seed=2, d_model=16, d_ff=16, d_embed=8,
+                            d_device=4, decoder_dims=(8,), batch_size=32)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLoss) as info:
+            cm.train(config, ds, DEVICES)
+        assert info.value.epoch >= 0
+        pre = cm.train(stable, ds, DEVICES)
+        targets = cm.encode_dataset(ds.subset("train"), DEVICES)
+        with pytest.raises(NonFiniteLoss) as info:
+            cm.finetune(pre.params, ds, targets,
+                        replace(config, alpha_cmd=alpha_cmd), DEVICES,
+                        pre.normalizer)
+        assert info.value.epoch >= 0
 
 
 # ---------------------------------------------------------------------------

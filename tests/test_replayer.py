@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_sim import oracle_simulate
 from tpcost import costmodel
@@ -9,7 +11,8 @@ from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer,
                             random_program)
 from tpcost.errors import CycleDetected, InvalidDevice, ValidationError
 from tpcost.features import build_compact_ast
-from tpcost.replayer import (Dfg, DfgNode, dedup_predict,
+from tpcost.ir import parse_program
+from tpcost.replayer import (Dfg, DfgNode, _split_programs, dedup_predict,
                              expand_device_parallel, load_graph,
                              load_programs, replay_model, simulate)
 
@@ -319,6 +322,84 @@ def test_load_programs(tmp_path):
     programs = load_programs(path)
     assert set(programs) == {"small", "wide"}
     assert programs["small"].n_leaf == 1
+
+
+def _split_programs_reference(text):
+    """The character loop `_split_programs` replaced."""
+    boundaries = []
+    depth = 0
+    in_comment = False
+    for i, ch in enumerate(text):
+        if in_comment:
+            if ch == "\n":
+                in_comment = False
+            continue
+        if ch == "#":
+            in_comment = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                boundaries.append(i)
+    chunks = []
+    prev = 0
+    for end in boundaries:
+        chunk = text[prev:end + 1]
+        if chunk.strip():
+            chunks.append(chunk)
+        prev = end + 1
+    if text[prev:].strip():
+        raise ValidationError("trailing text after last program block")
+    return chunks
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text)
+    except ValidationError as e:
+        return ("ValidationError", str(e))
+
+
+@given(st.lists(st.sampled_from(["{", "}", "#", "# c {", "\n", " ", "\t",
+                                 "program p", "x", "}}", "{{"]),
+                max_size=40).map("".join))
+def test_split_programs_matches_reference(text):
+    assert _split_outcome(_split_programs, text) == \
+        _split_outcome(_split_programs_reference, text)
+
+
+def test_split_programs_matches_reference_on_sidecar_text():
+    text = PROGRAMS_TEXT + "# trailing {comment}\n" + PROGRAMS_TEXT.replace(
+        "program small", "program small2").replace("program wide",
+                                                   "program wide2")
+    assert _split_programs(text) == _split_programs_reference(text)
+    assert len(_split_programs(text)) == 4
+
+
+def test_replay_model_uses_model_leaf_budget(tmp_path):
+    body = " ".join(f"compute c{i} {{ fma=1 bytes_read=8 }}" for i in range(17))
+    programs = tmp_path / "programs.ir"
+    programs.write_text("program big { for i in 0..4 { " + body + " } }\n",
+                        encoding="utf-8")
+    graph = tmp_path / "g.json"
+    _write_graph(graph, [{"id": "n0", "tir_key": "k", "program_ref": "big"}],
+                 [])
+    params = costmodel.init_params(costmodel.desk_config(
+        n_leaf_max=20, d_model=8, d_ff=8, d_embed=4, d_device=4,
+        decoder_dims=(4,)))
+    norm = BoxCoxNormalizer(lambda_bc=0.0, fitted=True, t_mean=-7.0,
+                            t_std=2.0)
+    result = replay_model(graph, programs, params, DEFAULT_SYNTH_DEVICE, norm)
+    compact = build_compact_ast(parse_program(programs.read_text(),
+                                              max_leaves=20))
+    assert compact.n_leaf == 17
+    expected = costmodel.predict(params, compact, DEFAULT_SYNTH_DEVICE, norm)
+    assert result.iteration_time == pytest.approx(expected, rel=1e-12)
+    # without a model the parser's default budget of 16 leaves applies
+    with pytest.raises(ValidationError, match="17 leaves"):
+        replay_model(graph, programs, None, None, None,
+                     predictor=lambda c, d: 1.0)
 
 
 def test_load_graph_and_validation(tmp_path):
