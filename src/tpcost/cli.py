@@ -185,6 +185,13 @@ class RunDir:
         return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True)
                                + "\n")
 
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        with open(self.file(name), "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            writer.writerows(rows)
+        self.register(name)
+
     def finalize(self) -> None:
         manifest = {}
         for name in sorted(self.artifacts):
@@ -195,16 +202,11 @@ class RunDir:
 
 
 def _write_log_csv(run: RunDir, name: str, rows: list[cm.EpochLog]) -> None:
-    target = run.file(name)
-    with open(target, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_mape", "val_rmse", "lr",
-                         "cmd"])
-        for row in rows:
-            writer.writerow([row.epoch, repr(row.train_loss),
-                             repr(row.val_mape), repr(row.val_rmse),
-                             repr(row.lr), repr(row.cmd)])
-    run.register(name)
+    run.write_csv(name, ["epoch", "train_loss", "val_mape", "val_rmse", "lr",
+                         "cmd"],
+                  ([row.epoch, repr(row.train_loss), repr(row.val_mape),
+                    repr(row.val_rmse), repr(row.lr), repr(row.cmd)]
+                   for row in rows))
 
 
 def _load_devices(config: RunConfig) -> dict:
@@ -214,12 +216,31 @@ def _load_devices(config: RunConfig) -> dict:
     return load_device_catalog(path)
 
 
+def _load_model(config: RunConfig):
+    """The checkpoint's parameters and its fitted normalizer."""
+    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
+    if normalizer is None:
+        raise TpcostError("checkpoint has no fitted normalizer")
+    return params, normalizer
+
+
+def _load_splits(path: str) -> dict[str, str]:
+    """A splits file: a JSON object of sample id to split name."""
+    with open(path, "r", encoding="utf-8") as f:
+        splits = json.load(f)
+    if not isinstance(splits, dict):
+        raise ValidationError(f"{path}: splits must be a JSON object")
+    for key, name in splits.items():
+        if name not in dsmod.SPLITS:
+            raise ValidationError(f"{path}: '{key}': unknown split {name!r}")
+    return splits
+
+
 def _load_split_dataset(config: RunConfig) -> dsmod.Dataset:
     ds = load_dataset(config.require("dataset"))
     splits_path = config.values.get("splits")
     if splits_path is not None:
-        with open(splits_path, "r", encoding="utf-8") as f:
-            ds.splits = {str(k): str(v) for k, v in json.load(f).items()}
+        ds.splits = _load_splits(splits_path)
     else:
         ratios = (config.ratio_train, config.ratio_valid, config.ratio_test)
         ds = split_dataset(ds, ratios=ratios, seed=config.split_seed,
@@ -324,9 +345,7 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
-    if normalizer is None:
-        raise TpcostError("checkpoint has no fitted normalizer")
+    params, normalizer = _load_model(config)
     source = _load_split_dataset(config)
     target = load_dataset(config.require("target_dataset"))
     target_inputs = cm.encode_dataset(target.samples, devices)
@@ -383,19 +402,13 @@ def _predict_over_dataset(params, normalizer, devices,
 
 def cmd_predict(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
-    if normalizer is None:
-        raise TpcostError("checkpoint has no fitted normalizer")
+    params, normalizer = _load_model(config)
     ds = load_dataset(config.require("dataset"))
     pred, actual = _predict_over_dataset(params, normalizer, devices,
                                          ds.samples)
-    with open(run.file("predictions.csv"), "w", newline="",
-              encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "predicted_s", "actual_s"])
-        for s, p in zip(ds.samples, pred):
-            writer.writerow([s.id, repr(float(p)), repr(s.latency_s)])
-    run.register("predictions.csv")
+    run.write_csv("predictions.csv", ["id", "predicted_s", "actual_s"],
+                  ([s.id, repr(float(p)), repr(s.latency_s)]
+                   for s, p in zip(ds.samples, pred)))
     result = cm.metrics(pred, actual)
     run.write_json("metrics.json", result)
     print(json.dumps(result, sort_keys=True))
@@ -404,14 +417,11 @@ def cmd_predict(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
-    if normalizer is None:
-        raise TpcostError("checkpoint has no fitted normalizer")
+    params, normalizer = _load_model(config)
     ds = load_dataset(config.require("dataset"))
     samples = ds.samples
     if config.values.get("splits") is not None:
-        with open(config.values["splits"], "r", encoding="utf-8") as f:
-            ds.splits = {str(k): str(v) for k, v in json.load(f).items()}
+        ds.splits = _load_splits(config.values["splits"])
         samples = ds.subset(args.split)
         if not samples:
             raise TpcostError(f"split '{args.split}' is empty")
@@ -419,22 +429,16 @@ def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
     result = cm.metrics(pred, actual)
     run.write_json("metrics.json", result)
     if args.emit_plot_data:
-        with open(run.file("plot_data.csv"), "w", newline="",
-                  encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["id", "actual_s", "predicted_s"])
-            for s, p in zip(samples, pred):
-                writer.writerow([s.id, repr(s.latency_s), repr(float(p))])
-        run.register("plot_data.csv")
+        run.write_csv("plot_data.csv", ["id", "actual_s", "predicted_s"],
+                      ([s.id, repr(s.latency_s), repr(float(p))]
+                       for s, p in zip(samples, pred)))
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
-    if normalizer is None:
-        raise TpcostError("checkpoint has no fitted normalizer")
+    params, normalizer = _load_model(config)
     device_name = config.require("device")
     if device_name not in devices:
         raise TpcostError(f"unknown device '{device_name}'")
@@ -461,13 +465,9 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
                             sorted(result.schedule.items())}}
     run.write_json("simresult.json", payload)
     if args.timeline:
-        with open(run.file("timeline.csv"), "w", newline="",
-                  encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["node", "start_s", "end_s"])
-            for node_id, (start, end) in sorted(result.schedule.items()):
-                writer.writerow([node_id, repr(start), repr(end)])
-        run.register("timeline.csv")
+        run.write_csv("timeline.csv", ["node", "start_s", "end_s"],
+                      ([node, repr(start), repr(end)] for node, (start, end)
+                       in sorted(result.schedule.items())))
     print(json.dumps({"iteration_time_s": result.iteration_time}))
     return EXIT_OK
 
@@ -491,13 +491,10 @@ def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
                            seed=config.seed, base=base,
                            epochs_cap=config.tune_epochs)
     run.write_json("best_config.json", asdict(best))
-    with open(run.file("trials.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["trial", "val_mape", "config"])
-        for trial in trials:
-            writer.writerow([trial.index, repr(trial.val_mape),
-                             json.dumps(asdict(trial.config), sort_keys=True)])
-    run.register("trials.csv")
+    run.write_csv("trials.csv", ["trial", "val_mape", "config"],
+                  ([trial.index, repr(trial.val_mape),
+                    json.dumps(asdict(trial.config), sort_keys=True)]
+                   for trial in trials))
     print(json.dumps(
         {"best_val_mape": _json_float(min(t.val_mape for t in trials))},
         sort_keys=True))

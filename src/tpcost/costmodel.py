@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
+import sys
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -54,15 +56,14 @@ class CostModelConfig:
     epochs: int = 300
     seed: int = 0
     loss_mode: str = "hybrid"  # hybrid | mse | mape
-    mape_space: str = "transformed"  # transformed | original
 
     def validate(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValidationError("d_model must be divisible by n_heads")
         for attr in ("d_model", "n_layers", "n_heads", "d_ff", "d_embed",
                      "d_device", "n_leaf_max", "batch_size"):
             if getattr(self, attr) < 1:
                 raise ValidationError(f"{attr} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValidationError("d_model must be divisible by n_heads")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
         if any(w < 1 for w in self.decoder_dims):
@@ -77,8 +78,6 @@ class CostModelConfig:
             raise ValidationError(f"unknown lr_schedule '{self.lr_schedule}'")
         if self.loss_mode not in ("hybrid", "mse", "mape"):
             raise ValidationError(f"unknown loss_mode '{self.loss_mode}'")
-        if self.mape_space not in ("original", "transformed"):
-            raise ValidationError(f"unknown mape_space '{self.mape_space}'")
 
 
 def desk_config(**overrides) -> CostModelConfig:
@@ -119,40 +118,47 @@ class CostModelParams:
         return CostModelParams(self.config, self.tensors.copy())
 
 
+def _tensor_shapes(config: CostModelConfig):
+    """Yields (name, shape) of every parameter tensor, in creation order."""
+    def lin(name: str, fan_in: int, fan_out: int):
+        yield f"{name}.W", (fan_in, fan_out)
+        yield f"{name}.b", (fan_out,)
+
+    d = config.d_model
+    yield from lin("input", N_ENTRY, d)
+    for i in range(config.n_layers):
+        pre = f"enc{i}"
+        yield from ((f"{pre}.attn.W{p}", (d, d)) for p in "qkvo")
+        yield from ((f"{pre}.attn.b{p}", (d,)) for p in "qkvo")
+        yield f"{pre}.ln1.g", (d,)
+        yield f"{pre}.ln1.b", (d,)
+        yield from lin(f"{pre}.ffn.h", d, config.d_ff)
+        yield from lin(f"{pre}.ffn.o", config.d_ff, d)
+        yield f"{pre}.ln2.g", (d,)
+        yield f"{pre}.ln2.b", (d,)
+    for n_leaf in range(1, config.n_leaf_max + 1):
+        yield from lin(f"leaf_embed.{n_leaf}", n_leaf * d, config.d_embed)
+    yield from lin("dev.hidden", DEVICE_FEATURES, config.d_device)
+    yield from lin("dev.proj", config.d_device, config.d_embed)
+    width = config.d_embed
+    for i, hidden in enumerate(config.decoder_dims):
+        yield from lin(f"dec.{i}", width, hidden)
+        width = hidden
+    yield from lin("dec.out", width, 1)
+
+
 def init_params(config: CostModelConfig) -> CostModelParams:
-    """Seeded fan-based uniform init; layer-norm gains 1, all biases 0.
-    Tensor creation order is fixed, so init is reproducible."""
+    """Seeded fan-based uniform init of the weight matrices, drawn in
+    creation order so init is reproducible; layer-norm gains 1, biases 0."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     t: dict[str, np.ndarray] = {}
-
-    def lin(name: str, fan_in: int, fan_out: int) -> None:
-        t[f"{name}.W"] = nn.xavier_uniform(rng, fan_in, fan_out)
-        t[f"{name}.b"] = np.zeros(fan_out)
-
-    d = config.d_model
-    lin("input", N_ENTRY, d)
-    for i in range(config.n_layers):
-        pre = f"enc{i}"
-        for proj in ("Wq", "Wk", "Wv", "Wo"):
-            t[f"{pre}.attn.{proj}"] = nn.xavier_uniform(rng, d, d)
-        for bias in ("bq", "bk", "bv", "bo"):
-            t[f"{pre}.attn.{bias}"] = np.zeros(d)
-        t[f"{pre}.ln1.g"] = np.ones(d)
-        t[f"{pre}.ln1.b"] = np.zeros(d)
-        lin(f"{pre}.ffn.h", d, config.d_ff)
-        lin(f"{pre}.ffn.o", config.d_ff, d)
-        t[f"{pre}.ln2.g"] = np.ones(d)
-        t[f"{pre}.ln2.b"] = np.zeros(d)
-    for n_leaf in range(1, config.n_leaf_max + 1):
-        lin(f"leaf_embed.{n_leaf}", n_leaf * d, config.d_embed)
-    lin("dev.hidden", DEVICE_FEATURES, config.d_device)
-    lin("dev.proj", config.d_device, config.d_embed)
-    width = config.d_embed
-    for i, hidden in enumerate(config.decoder_dims):
-        lin(f"dec.{i}", width, hidden)
-        width = hidden
-    lin("dec.out", width, 1)
+    for name, shape in _tensor_shapes(config):
+        kind = name.rsplit(".", 1)[1]
+        if kind.startswith("W"):
+            t[name] = nn.xavier_uniform(rng, *shape)
+        else:
+            t[name] = np.ones(shape) if kind == "g" else np.zeros(shape)
     return CostModelParams(config=config, tensors=t)
 
 
@@ -170,7 +176,6 @@ class LatentBatch:
 @dataclass
 class _GroupCache:
     indices: list[int]
-    n_leaf: int
     x: np.ndarray
     v: np.ndarray
     layers: list[tuple]
@@ -183,21 +188,14 @@ class _GroupCache:
     dec: list[tuple[np.ndarray, np.ndarray]]
     u_last: np.ndarray
 
-
-def _group_by_leaf(inputs: list[EncodedInput],
-                   n_leaf_max: int) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for i, enc in enumerate(inputs):
-        n = enc.n_leaf
-        if n < 1 or n > n_leaf_max:
-            raise LeafCountExceeded(
-                f"input {i} has {n} leaves, supported range is 1..{n_leaf_max}")
-        groups.setdefault(n, []).append(i)
-    return groups
+    @property
+    def n_leaf(self) -> int:
+        return self.x.shape[1]
 
 
-def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
-                   x: np.ndarray, v: np.ndarray):
+def _forward_group(t: nn.FlatTensors, config: CostModelConfig,
+                   indices: list[int], x: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, _GroupCache]:
     h, _ = nn.linear_fwd(x, t["input.W"], t["input.b"])
     layer_caches = []
     for i in range(config.n_layers):
@@ -232,8 +230,9 @@ def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
         dec_caches.append((u, mask))
         u = act
     out, _ = nn.linear_fwd(u, t["dec.out.W"], t["dec.out.b"])
-    pred = out[:, 0]
-    return pred, z_x, z_v, z, layer_caches, flat, dev_mask, zp, dec_caches, u
+    return out[:, 0], _GroupCache(
+        indices=indices, x=x, v=v, layers=layer_caches, flat=flat, z_x=z_x,
+        dev_mask=dev_mask, z_v=z_v, zp=zp, z=z, dec=dec_caches, u_last=u)
 
 
 def _forward(params: CostModelParams, inputs: list[EncodedInput]):
@@ -243,8 +242,13 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
-    t = params.tensors
-    groups = _group_by_leaf(inputs, config.n_leaf_max)
+    groups: dict[int, list[int]] = {}
+    for i, enc in enumerate(inputs):
+        if not 1 <= enc.n_leaf <= config.n_leaf_max:
+            raise LeafCountExceeded(
+                f"input {i} has {enc.n_leaf} leaves, supported range is "
+                f"1..{config.n_leaf_max}")
+        groups.setdefault(enc.n_leaf, []).append(i)
     n = len(inputs)
     pred = np.empty(n)
     z_x_all = np.empty((n, config.d_embed))
@@ -255,16 +259,11 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
         idx = groups[n_leaf]
         x = np.stack([inputs[i].matrix for i in idx])
         v = np.stack([inputs[i].device_vector for i in idx])
-        (p, z_x, z_v, z, layer_caches, flat, dev_mask, zp,
-         dec_caches, u_last) = _forward_group(t, config, x, v)
-        pred[idx] = p
-        z_x_all[idx] = z_x
-        z_v_all[idx] = z_v
-        z_all[idx] = z
-        caches.append(_GroupCache(indices=idx, n_leaf=n_leaf, x=x, v=v,
-                                  layers=layer_caches, flat=flat, z_x=z_x,
-                                  dev_mask=dev_mask, z_v=z_v, zp=zp, z=z,
-                                  dec=dec_caches, u_last=u_last))
+        pred[idx], cache = _forward_group(params.tensors, config, idx, x, v)
+        z_x_all[idx] = cache.z_x
+        z_v_all[idx] = cache.z_v
+        z_all[idx] = cache.z
+        caches.append(cache)
     return pred, LatentBatch(z_x=z_x_all, z_v=z_v_all, z=z_all), caches
 
 
@@ -275,68 +274,55 @@ def forward(params: CostModelParams,
     return pred, latents
 
 
-def _accumulate(grads: nn.FlatTensors, name: str, value: np.ndarray) -> None:
-    view = grads[name]
-    view += value
+def _linear_grad(t: nn.FlatTensors, grads: nn.FlatTensors, name: str,
+                 dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Backward through linear layer `name`: adds its weight and bias
+    gradients to `grads` and returns the input gradient."""
+    dx, dw, db = nn.linear_bwd(dy, x, t[f"{name}.W"])
+    grads[f"{name}.W"] += dw
+    grads[f"{name}.b"] += db
+    return dx
+
+
+def _layernorm_grad(t: nn.FlatTensors, grads: nn.FlatTensors, name: str,
+                    dy: np.ndarray, cache) -> np.ndarray:
+    dx, dg, db = nn.layernorm_bwd(dy, cache, t[f"{name}.g"])
+    grads[f"{name}.g"] += dg
+    grads[f"{name}.b"] += db
+    return dx
 
 
 def _backward_group(t: nn.FlatTensors, config: CostModelConfig,
                     cache: _GroupCache, dpred: np.ndarray,
                     dz_extra: np.ndarray | None,
                     grads: nn.FlatTensors) -> None:
-    du = dpred[:, None]
-    du, dw, db = nn.linear_bwd(du, cache.u_last, t["dec.out.W"])
-    _accumulate(grads, "dec.out.W", dw)
-    _accumulate(grads, "dec.out.b", db)
+    du = _linear_grad(t, grads, "dec.out", dpred[:, None], cache.u_last)
     for i in reversed(range(len(config.decoder_dims))):
         u_in, mask = cache.dec[i]
-        du = nn.relu_bwd(du, mask)
-        du, dw, db = nn.linear_bwd(du, u_in, t[f"dec.{i}.W"])
-        _accumulate(grads, f"dec.{i}.W", dw)
-        _accumulate(grads, f"dec.{i}.b", db)
-    dz = du
-    if dz_extra is not None:
-        dz = dz + dz_extra
-    dz_x = dz * cache.zp
-    dzp = dz * cache.z_x
-    dz_v, dw, db = nn.linear_bwd(dzp, cache.z_v, t["dev.proj.W"])
-    _accumulate(grads, "dev.proj.W", dw)
-    _accumulate(grads, "dev.proj.b", db)
-    ddev_pre = nn.relu_bwd(dz_v, cache.dev_mask)
-    _, dw, db = nn.linear_bwd(ddev_pre, cache.v, t["dev.hidden.W"])
-    _accumulate(grads, "dev.hidden.W", dw)
-    _accumulate(grads, "dev.hidden.b", db)
+        du = _linear_grad(t, grads, f"dec.{i}", nn.relu_bwd(du, mask), u_in)
+    dz = du if dz_extra is None else du + dz_extra
+    dz_v = _linear_grad(t, grads, "dev.proj", dz * cache.z_x, cache.z_v)
+    _linear_grad(t, grads, "dev.hidden", nn.relu_bwd(dz_v, cache.dev_mask),
+                 cache.v)
     length = cache.n_leaf
-    dflat, dw, db = nn.linear_bwd(dz_x, cache.flat, t[f"leaf_embed.{length}.W"])
-    _accumulate(grads, f"leaf_embed.{length}.W", dw)
-    _accumulate(grads, f"leaf_embed.{length}.b", db)
+    dflat = _linear_grad(t, grads, f"leaf_embed.{length}", dz * cache.zp,
+                         cache.flat)
     dh = dflat.reshape(cache.x.shape[0], length, config.d_model)
     for i in reversed(range(config.n_layers)):
         pre = f"enc{i}"
         c_attn, c_ln1, h1, ffn_mask, f_act, c_ln2 = cache.layers[i]
-        dr2, dg, db = nn.layernorm_bwd(dh, c_ln2, t[f"{pre}.ln2.g"])
-        _accumulate(grads, f"{pre}.ln2.g", dg)
-        _accumulate(grads, f"{pre}.ln2.b", db)
-        dfact, dw, db = nn.linear_bwd(dr2, f_act, t[f"{pre}.ffn.o.W"])
-        _accumulate(grads, f"{pre}.ffn.o.W", dw)
-        _accumulate(grads, f"{pre}.ffn.o.b", db)
-        dfpre = nn.relu_bwd(dfact, ffn_mask)
-        dh1_ffn, dw, db = nn.linear_bwd(dfpre, h1, t[f"{pre}.ffn.h.W"])
-        _accumulate(grads, f"{pre}.ffn.h.W", dw)
-        _accumulate(grads, f"{pre}.ffn.h.b", db)
-        dh1 = dr2 + dh1_ffn
-        dr1, dg, db = nn.layernorm_bwd(dh1, c_ln1, t[f"{pre}.ln1.g"])
-        _accumulate(grads, f"{pre}.ln1.g", dg)
-        _accumulate(grads, f"{pre}.ln1.b", db)
+        dr2 = _layernorm_grad(t, grads, f"{pre}.ln2", dh, c_ln2)
+        dfact = _linear_grad(t, grads, f"{pre}.ffn.o", dr2, f_act)
+        dh1 = dr2 + _linear_grad(t, grads, f"{pre}.ffn.h",
+                                 nn.relu_bwd(dfact, ffn_mask), h1)
+        dr1 = _layernorm_grad(t, grads, f"{pre}.ln1", dh1, c_ln1)
         dh_attn, attn_grads = nn.attention_bwd(
             dr1, c_attn, t[f"{pre}.attn.Wq"], t[f"{pre}.attn.Wk"],
             t[f"{pre}.attn.Wv"], t[f"{pre}.attn.Wo"], config.n_heads)
         for key, value in attn_grads.items():
-            _accumulate(grads, f"{pre}.attn.{key}", value)
+            grads[f"{pre}.attn.{key}"] += value
         dh = dr1 + dh_attn
-    _, dw, db = nn.linear_bwd(dh, cache.x, t["input.W"])
-    _accumulate(grads, "input.W", dw)
-    _accumulate(grads, "input.b", db)
+    _linear_grad(t, grads, "input", dh, cache.x)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +334,6 @@ def loss_pretrain(pred, y, lambda_hybrid: float = 1e-3) -> float:
     error, both averaged over the batch."""
     pred = np.asarray(pred, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if pred.size == 0:
-        raise EmptyBatch("loss needs at least one sample")
     if pred.shape != y.shape:
         raise ValidationError("pred and y must have equal length")
     if np.any(y <= 0):
@@ -358,66 +342,22 @@ def loss_pretrain(pred, y, lambda_hybrid: float = 1e-3) -> float:
     return value
 
 
-def _decode_with_grad(norm: BoxCoxNormalizer, e: np.ndarray):
-    """Original-scale prediction and its derivative w.r.t. the model-space
-    value. The power-transform argument is clamped at the domain edge (zero
-    derivative beyond) so early wild predictions cannot produce NaNs."""
-    t = e * norm.t_std + norm.t_mean
-    lam = norm.lambda_bc
-    if abs(lam) < 1e-9:
-        y = np.exp(t) - norm.shift
-        dy = norm.t_std * np.exp(t)
-        return y, dy
-    base = lam * t + 1.0
-    ok = base > 1e-12
-    base = np.where(ok, base, 1e-12)
-    y = np.power(base, 1.0 / lam) - norm.shift
-    dy = np.where(ok, norm.t_std * np.power(base, 1.0 / lam - 1.0), 0.0)
-    return y, dy
-
-
-def _relative_term(pred: np.ndarray, y: np.ndarray, mape_space: str,
-                   offset: float, normalizer: BoxCoxNormalizer | None):
-    """Mean relative error and its gradient w.r.t. model-space predictions.
-
-    In "original" space the term is |decode(pred) - y_orig| / y_orig, the
-    quantity the evaluation metric uses; "transformed" keeps everything in
-    model space, shifted to positivity by `offset`."""
-    n = pred.size
-    if mape_space == "original":
-        if normalizer is None:
-            raise ValidationError(
-                "original-space relative loss needs a fitted normalizer")
-        y_orig = np.asarray(normalizer.decode(y))
-        pred_orig, dpred_orig = _decode_with_grad(normalizer, pred)
-        diff = pred_orig - y_orig
-        value = float(np.mean(np.abs(diff) / y_orig))
-        grad = np.sign(diff) * dpred_orig / (y_orig * n)
-        return value, grad
-    denom = y + offset
-    if np.any(denom <= 0):
-        raise ValidationError("shifted labels must be positive")
-    diff = pred - y
-    value = float(np.mean(np.abs(diff) / denom))
-    grad = np.sign(diff) / (denom * n)
-    return value, grad
-
-
 def _supervised_loss_grad(pred: np.ndarray, y: np.ndarray, mode: str,
-                          lambda_hybrid: float, offset: float,
-                          mape_space: str = "transformed",
-                          normalizer: BoxCoxNormalizer | None = None):
-    """Loss and d(loss)/d(pred), with pred and y in model space. The squared
-    term always lives in model space; the relative term lives in
-    `mape_space`."""
+                          lambda_hybrid: float, offset: float):
+    """Loss and d(loss)/d(pred), all in model space. The relative term
+    divides by the targets shifted by `offset`, which must make them
+    positive (the squared term is shift-invariant)."""
     n = pred.size
     if n == 0:
         raise EmptyBatch("loss needs at least one sample")
     diff = pred - y
     if mode == "mse":
         return float(np.mean(diff ** 2)), 2.0 * diff / n
-    rel_value, rel_grad = _relative_term(pred, y, mape_space, offset,
-                                         normalizer)
+    denom = y + offset
+    if np.any(denom <= 0):
+        raise ValidationError("shifted labels must be positive")
+    rel_value = float(np.mean(np.abs(diff) / denom))
+    rel_grad = np.sign(diff) / (denom * n)
     if mode == "mape":
         return rel_value, rel_grad
     if mode == "hybrid":
@@ -511,62 +451,40 @@ def loss_finetune(pred, y, zs, zt, lambda_hybrid: float = 1e-3,
     return loss_pretrain(pred, y, lambda_hybrid) + alpha_cmd * cmd(zs, zt, k)
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """What objective `backward` differentiates.
-
-    mape_space picks where the relative-error term lives: "original" decodes
-    predictions through the normalizer (required then); "transformed" stays
-    in model space, with `offset` shifting predictions and targets together
-    so denominators are positive (the squared term is shift-invariant)."""
-
-    mode: str = "hybrid"
-    lambda_hybrid: float = 1e-3
-    alpha_cmd: float = 0.0
-    cmd_order: int = 5
-    offset: float = 0.0
-    mape_space: str = "transformed"
-    normalizer: BoxCoxNormalizer | None = None
-
-
 def backward(params: CostModelParams, batch: list[EncodedInput],
-             targets, loss: LossSpec,
+             targets, config: CostModelConfig, offset: float = 0.0,
              target_batch: list[EncodedInput] | None = None):
-    """Loss value and the gradient of the configured objective w.r.t. every
+    """Loss value and the gradient of the training objective w.r.t. every
     parameter tensor, as a fresh FlatTensors laid out like params.tensors
-    (zero where the batch does not reach). With alpha_cmd > 0 and a target
-    batch, the CMD term couples the two forward passes through the shared
-    encoder."""
+    (zero where the batch does not reach). `config` sets the objective
+    (loss_mode, lambda_hybrid, alpha_cmd, cmd_order); the architecture is
+    always params.config's. `offset` shifts predictions and targets together
+    so that the relative term's denominators are positive. With alpha_cmd >
+    0 and a target batch, the CMD term couples the two forward passes
+    through the shared encoder."""
     targets = np.asarray(targets, dtype=np.float64)
     pred, latents, caches = _forward(params, batch)
     if pred.shape != targets.shape:
         raise ValidationError("batch and targets must have equal length")
-    value, dpred = _supervised_loss_grad(pred, targets, loss.mode,
-                                         loss.lambda_hybrid, loss.offset,
-                                         mape_space=loss.mape_space,
-                                         normalizer=loss.normalizer)
-    grads = params.tensors.zeros_like()
-    use_cmd = loss.alpha_cmd > 0.0 and target_batch is not None
+    value, dpred = _supervised_loss_grad(pred, targets, config.loss_mode,
+                                         config.lambda_hybrid, offset)
+    # (caches, gradient w.r.t. their predictions, extra gradient w.r.t. z)
+    passes = [(caches, dpred, None)]
     cmd_value = 0.0
-    if use_cmd:
+    if config.alpha_cmd > 0.0 and target_batch is not None:
         pred_t, latents_t, caches_t = _forward(params, target_batch)
         cmd_value, dzs, dzt = _cmd_forward_backward(latents.z, latents_t.z,
-                                                    loss.cmd_order)
-        value += loss.alpha_cmd * cmd_value
-        dzs = loss.alpha_cmd * dzs
-        dzt = loss.alpha_cmd * dzt
-        for cache in caches:
+                                                    config.cmd_order)
+        value += config.alpha_cmd * cmd_value
+        passes = [(caches, dpred, config.alpha_cmd * dzs),
+                  (caches_t, np.zeros(pred_t.shape[0]),
+                   config.alpha_cmd * dzt)]
+    grads = params.tensors.zeros_like()
+    for pass_caches, dp, dz in passes:
+        for cache in pass_caches:
             _backward_group(params.tensors, params.config, cache,
-                            dpred[cache.indices], dzs[cache.indices], grads)
-        zero_pred = np.zeros(pred_t.shape[0])
-        for cache in caches_t:
-            _backward_group(params.tensors, params.config, cache,
-                            zero_pred[cache.indices], dzt[cache.indices],
-                            grads)
-    else:
-        for cache in caches:
-            _backward_group(params.tensors, params.config, cache,
-                            dpred[cache.indices], None, grads)
+                            dp[cache.indices],
+                            None if dz is None else dz[cache.indices], grads)
     return value, grads, {"pred": pred, "cmd": cmd_value}
 
 
@@ -621,12 +539,6 @@ def _lr_at(config: CostModelConfig, epoch: int) -> float:
     floor = config.lr / 10.0
     tri = 1.0 - abs((epoch % 20) / 10.0 - 1.0)
     return floor + (config.lr - floor) * tri
-
-
-def _make_optimizer(config: CostModelConfig):
-    if config.optimizer == "adam":
-        return nn.Adam(weight_decay=config.weight_decay)
-    return nn.Sgd(weight_decay=config.weight_decay)
 
 
 def _epoch_batches(rng: np.random.Generator, n_leaves: list[int],
@@ -689,12 +601,9 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
     valid_latency = np.array([s.latency_s for s in valid_samples])
     n_leaves = [enc.n_leaf for enc in train_inputs]
 
-    opt = _make_optimizer(config)
+    opt = (nn.Adam if config.optimizer == "adam" else nn.Sgd)(
+        weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
-    spec = LossSpec(mode=config.loss_mode, lambda_hybrid=config.lambda_hybrid,
-                    alpha_cmd=config.alpha_cmd, cmd_order=config.cmd_order,
-                    offset=normalizer.loss_offset,
-                    mape_space=config.mape_space, normalizer=normalizer)
     # source batches are bucketed by n_leaf, so pair each with target samples
     # of the same leaf count where possible; the CMD term then aligns the
     # distributions conditioned on the routing variable
@@ -716,7 +625,8 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
                 picked_idx = rng.choice(len(pool), size=take, replace=False)
                 target_batch = [pool[j] for j in np.sort(picked_idx)]
             value, grads, aux = backward(params, batch, targets[batch_idx],
-                                         spec, target_batch=target_batch)
+                                         config, normalizer.loss_offset,
+                                         target_batch=target_batch)
             if not math.isfinite(value):
                 raise NonFiniteLoss(epoch)
             losses.append(value)
@@ -830,20 +740,12 @@ def tune(space: dict, budget: int, ds: Dataset,
         raise ValidationError("budget must be >= 1")
     base = base or desk_config()
     rng = np.random.default_rng(seed)
-    candidates = []
-    for i in range(budget):
-        sampled = _sample_space(space, rng)
-        candidates.append(replace(base, epochs=min(epochs_cap, base.epochs),
-                                  **sampled))
-    trials: list[Trial] = []
-    best_idx = 0
-    for i, config in enumerate(candidates):
-        result = train(config, ds, devices)
-        trials.append(Trial(index=i, config=config,
-                            val_mape=result.best_val_mape))
-        if trials[i].val_mape < trials[best_idx].val_mape:
-            best_idx = i
-    return candidates[best_idx], trials
+    candidates = [replace(base, epochs=min(epochs_cap, base.epochs),
+                          **_sample_space(space, rng)) for _ in range(budget)]
+    trials = [Trial(index=i, config=config,
+                    val_mape=train(config, ds, devices).best_val_mape)
+              for i, config in enumerate(candidates)]
+    return min(trials, key=lambda trial: trial.val_mape).config, trials
 
 
 # ---------------------------------------------------------------------------
@@ -915,27 +817,64 @@ def save_checkpoint(path, params: CostModelParams,
         f.write(buf.getvalue())
 
 
+def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = ()):
+    """Dataclass `cls` from a JSON object with exactly its fields (`ignore`
+    keys are dropped), each of its default's type; a tuple is read from a
+    list of ints, and a float may be written as an int."""
+    names = sorted(f.name for f in fields(cls))
+    if not isinstance(raw, dict) or sorted(set(raw) - set(ignore)) != names:
+        raise CheckpointError(
+            f"{what} must be a JSON object with the keys {names}")
+    values = {}
+    for f in fields(cls):
+        value, kind = raw[f.name], type(f.default)
+        if (kind is float and type(value) is int
+                and abs(value) <= sys.float_info.max):
+            value = float(value)
+        if (kind is tuple and isinstance(value, list)
+                and all(type(v) is int for v in value)):
+            value = tuple(value)
+        if type(value) is not kind:
+            raise CheckpointError(f"{what}: bad value for '{f.name}': "
+                                  f"{value!r}")
+        values[f.name] = value
+    return cls(**values)
+
+
 def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
+    """Inverse of `save_checkpoint`. Any malformed file, metadata block or
+    config, or tensors that do not fit the config, raise CheckpointError.
+    Checkpoints written before the objective lost its `mape_space` option
+    carry that config key; it is dropped."""
     try:
         with np.load(path) as data:
             if "__meta__" not in data:
                 raise CheckpointError("missing metadata block")
             meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("version") != _CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"unsupported version {meta.get('version')}")
             tensors = {name: np.asarray(data[name], dtype=np.float64)
                        for name in data.files if name != "__meta__"}
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             zipfile.BadZipFile) as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
+    keys = ("version", "config", "normalizer", "checksum")
+    if not isinstance(meta, dict) or not all(k in meta for k in keys):
+        raise CheckpointError(f"metadata must be a JSON object with {keys}")
+    if meta["version"] != _CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported version {meta['version']!r}")
     if _tensor_checksum(tensors) != meta["checksum"]:
         raise CheckpointError("checksum mismatch: corrupt checkpoint")
-    cfg_dict = dict(meta["config"])
-    cfg_dict["decoder_dims"] = tuple(cfg_dict["decoder_dims"])
-    config = CostModelConfig(**cfg_dict)
+    config = _from_json(CostModelConfig, meta["config"], "config",
+                        ignore=("mape_space",))
+    try:
+        config.validate()
+    except ValidationError as e:
+        raise CheckpointError(f"config: {e}") from e
+    # bounded, so a corrupt size in the config cannot run away
+    expected = itertools.islice(_tensor_shapes(config), len(tensors) + 1)
+    if dict(expected) != {name: a.shape for name, a in tensors.items()}:
+        raise CheckpointError("tensors do not match the config")
     params = CostModelParams(config=config, tensors=tensors)
     norm = None
     if meta["normalizer"] is not None:
-        norm = BoxCoxNormalizer(**meta["normalizer"])
+        norm = _from_json(BoxCoxNormalizer, meta["normalizer"], "normalizer")
     return params, norm

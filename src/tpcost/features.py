@@ -10,7 +10,7 @@ position is added to its computation vector to form the model input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import log2
 from pathlib import Path
 
@@ -97,37 +97,45 @@ class DeviceSpec:
             raise ValidationError(f"device '{self.name}': negative optional field")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "clock_mhz": self.clock_mhz,
-            "mem_gb": self.mem_gb,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "cores": self.cores,
-            "peak_fp32_gflops": self.peak_fp32_gflops,
-            "l2_cache_mb": self.l2_cache_mb,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSpec":
-        spec = cls(name=d["name"], clock_mhz=float(d["clock_mhz"]),
-                   mem_gb=float(d["mem_gb"]),
-                   bandwidth_gbps=float(d["bandwidth_gbps"]),
-                   cores=int(d["cores"]),
-                   peak_fp32_gflops=float(d.get("peak_fp32_gflops", 0.0)),
-                   l2_cache_mb=float(d.get("l2_cache_mb", 0.0)))
+        try:
+            if not isinstance(d["name"], str):
+                raise TypeError("name must be a string")
+            spec = cls(name=d["name"], clock_mhz=float(d["clock_mhz"]),
+                       mem_gb=float(d["mem_gb"]),
+                       bandwidth_gbps=float(d["bandwidth_gbps"]),
+                       cores=int(d["cores"]),
+                       peak_fp32_gflops=float(d.get("peak_fp32_gflops", 0.0)),
+                       l2_cache_mb=float(d.get("l2_cache_mb", 0.0)))
+        except KeyError as e:
+            raise ValidationError(f"missing key {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValidationError(str(e)) from e
         spec.validate()
         return spec
 
 
 def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
-    """Load a JSON list of device specs, keyed by device name."""
+    """Load a JSON list of device specs, keyed by device name. A malformed
+    file raises ValidationError naming the file and the entry index."""
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
+    if not isinstance(entries, list):
+        raise ValidationError(f"{path}: device catalog must be a JSON list")
     catalog = {}
-    for entry in entries:
-        spec = DeviceSpec.from_dict(entry)
+    for i, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise ValidationError("not a JSON object")
+            spec = DeviceSpec.from_dict(entry)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: entry {i}: {e}") from e
         if spec.name in catalog:
-            raise ValidationError(f"duplicate device name '{spec.name}'")
+            raise ValidationError(
+                f"{path}: entry {i}: duplicate device name '{spec.name}'")
         catalog[spec.name] = spec
     return catalog
 

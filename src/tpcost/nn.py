@@ -23,10 +23,10 @@ from collections.abc import Mapping
 import numpy as np
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int,
+                   fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape or (fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Expect roughly ten minutes of wall time for the whole module.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,10 +95,10 @@ def test_criterion_1_gradient_oracle():
     with criterion(1, "analytic gradients match finite differences (1e-5)"):
         start = time.monotonic()
         params, batch, targets, target_batch = _grad_inputs(seed=20)
-        pre = cm.LossSpec(mode="hybrid", lambda_hybrid=1e-3)
+        pre = replace(GRAD_CONFIG, loss_mode="hybrid", lambda_hybrid=1e-3)
         err_pre = _max_grad_error(params, batch, targets, pre, None)
-        fin = cm.LossSpec(mode="hybrid", lambda_hybrid=1e-3, alpha_cmd=1.0,
-                          cmd_order=5)
+        fin = replace(GRAD_CONFIG, loss_mode="hybrid", lambda_hybrid=1e-3,
+                      alpha_cmd=1.0, cmd_order=5)
         err_fin = _max_grad_error(params, batch, targets, fin, target_batch)
         elapsed = time.monotonic() - start
         print(f"  pretrain max rel err {err_pre:.2e}, "

@@ -1,7 +1,15 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from checkpoint_meta import rewrite_meta
 
 from tpcost.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, load_run_config,
                         main)
@@ -383,3 +391,166 @@ def test_dataset_line_without_field_is_input_error(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{data}:3:" in err and "task_id" in err
+
+
+def _exit_code(workdir, tmp_path, capsys, command="predict", **keys):
+    """Exit code of `command` on the shared dataset and model, with config
+    keys set or overridden by `keys`; asserts that stderr has no
+    traceback."""
+    values = {"dataset": f"{workdir}/synth/dataset.jsonl",
+              "devices": f"{workdir}/synth/devices.json",
+              "checkpoint": f"{workdir}/train/checkpoint.npz", **keys}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                   encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+def _without(key):
+    def edit(obj):
+        del obj[key]
+        return obj
+    return edit
+
+
+def _in_config(edit):
+    def apply(meta):
+        meta["config"] = edit(meta["config"])
+        return meta
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    _without("config"), _without("checksum"), _without("normalizer"),
+    _in_config(lambda c: {**c, "frobnicate": 1}),
+    lambda m: {**m, "normalizer": {**m["normalizer"], "frobnicate": 1}},
+    lambda m: [m],
+    _in_config(lambda c: {**c, "n_heads": 3}),
+    _in_config(_without("d_model")),
+], ids=["no-config", "no-checksum", "no-normalizer", "unknown-config-key",
+        "unknown-normalizer-key", "meta-list", "heads-not-dividing",
+        "no-d_model"])
+def test_malformed_checkpoint_meta_is_input_error(workdir, tmp_path, capsys,
+                                                  edit):
+    bad = tmp_path / "bad.npz"
+    rewrite_meta(workdir / "train" / "checkpoint.npz", bad, edit)
+    assert _exit_code(workdir, tmp_path, capsys,
+                         checkpoint=bad) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("splits", [["a", "train"], {"x": "training"},
+                                    {"x": 3}, 5])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_splits_file_is_input_error(workdir, tmp_path, capsys, splits,
+                                        command):
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps(splits), encoding="utf-8")
+    assert _exit_code(workdir, tmp_path, capsys, command,
+                         splits=path, epochs=1) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("catalog, message", [
+    ({"name": "synth0"}, "JSON list"),
+    (["synth0"], "entry 0"),
+    ([{"name": "d", "mem_gb": 1, "bandwidth_gbps": 1, "cores": 1}],
+     "clock_mhz"),
+    ([{"name": "d", "clock_mhz": "x", "mem_gb": 1, "bandwidth_gbps": 1,
+       "cores": 1}], "entry 0"),
+])
+def test_bad_device_catalog_is_input_error(workdir, tmp_path, capsys,
+                                           catalog, message):
+    path = tmp_path / "devices.json"
+    path.write_text(json.dumps(catalog), encoding="utf-8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
+                   f"devices = {path}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "synth"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err and message in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: a mutated checkpoint meta, splits file or device catalog is
+# either accepted or rejected with exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _json_paths(doc, prefix=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workdir, tmp_path_factory):
+    """A 12-sample dataset with splits, plus valid JSON documents of the
+    shared model's checkpoint meta, a splits file and a device catalog."""
+    root = tmp_path_factory.mktemp("fuzz")
+    lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
+    (root / "dataset.jsonl").write_text("\n".join(lines[:12]) + "\n",
+                                        encoding="utf-8")
+    ids = [json.loads(line)["id"] for line in lines[:12]]
+    with np.load(workdir / "train" / "checkpoint.npz") as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    docs = {
+        "checkpoint": meta,
+        "splits": {i: ("train", "valid", "test")[n % 3]
+                   for n, i in enumerate(ids)},
+        "devices": json.loads(
+            (workdir / "synth" / "devices.json").read_text()),
+    }
+    return root, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_0_or_2(workdir, fuzz_inputs, data):
+    root, docs = fuzz_inputs
+    which = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[which])
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    files = {"dataset": root / "dataset.jsonl",
+             "checkpoint": workdir / "train" / "checkpoint.npz",
+             "devices": root / "devices.json", "splits": root / "splits.json"}
+    for name in ("devices", "splits"):
+        files[name].write_text(json.dumps(doc if name == which
+                                          else docs[name]), encoding="utf-8")
+    if which == "checkpoint":
+        files["checkpoint"] = root / "checkpoint.npz"
+        rewrite_meta(workdir / "train" / "checkpoint.npz",
+                     files["checkpoint"], lambda _: doc)
+    cfg = root / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in files.items()),
+                   encoding="utf-8")
+    command = data.draw(st.sampled_from(["predict", "eval"]))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["--config", str(cfg), "--out", str(root / "out"),
+                     command])
+    assert code in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from checkpoint_meta import rewrite_meta
 from oracles import cmd_bruteforce
 
 from tpcost import costmodel as cm
@@ -98,6 +99,8 @@ def test_config_validation():
         cm.CostModelConfig(d_model=10, n_heads=3).validate()
     with pytest.raises(ValidationError):
         cm.CostModelConfig(optimizer="lbfgs").validate()
+    with pytest.raises(ValidationError, match="n_heads"):
+        cm.CostModelConfig(n_heads=0).validate()  # not a ZeroDivisionError
 
 
 def test_full_reference_preset_values():
@@ -194,7 +197,7 @@ def test_final_bias_gradient_closed_form(rng):
     params.tensors["dec.out.b"][:] = 0.0
     batch = rand_inputs(rng, 5)
     y = rng.uniform(1.0, 2.0, size=5)
-    spec = cm.LossSpec(mode="mse")
+    spec = cm.CostModelConfig(loss_mode="mse")
     _, grads, aux = cm.backward(params, batch, y, spec)
     # constant zero output: d/d b = (2/n) * sum(pred - y)
     expected = 2.0 / 5 * np.sum(aux["pred"] - y)
@@ -205,7 +208,7 @@ def test_duplicated_batch_same_gradients(rng):
     params = cm.init_params(TINY)
     batch = rand_inputs(rng, 4)
     y = rng.uniform(1.0, 3.0, size=4)
-    spec = cm.LossSpec(mode="hybrid", lambda_hybrid=1e-3)
+    spec = cm.CostModelConfig(loss_mode="hybrid", lambda_hybrid=1e-3)
     loss1, grads1, _ = cm.backward(params, batch, y, spec)
     loss2, grads2, _ = cm.backward(params, batch + batch,
                                    np.concatenate([y, y]), spec)
@@ -234,7 +237,7 @@ def test_params_are_views_into_one_vector():
 def test_backward_length_mismatch(rng):
     params = cm.init_params(TINY)
     with pytest.raises(ValidationError):
-        cm.backward(params, rand_inputs(rng, 3), np.ones(2), cm.LossSpec())
+        cm.backward(params, rand_inputs(rng, 3), np.ones(2), TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -513,3 +516,46 @@ def test_checkpoint_checksum_detects_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         cm.load_checkpoint(path)
+
+
+def test_checkpoint_with_mape_space_key_still_loads(tmp_path, rng):
+    # checkpoints written while the config still had `mape_space` (it only
+    # chose the training objective) load and predict the same values
+    ds = _tiny_split_dataset()
+    norm = cm.fit_boxcox(ds.labels("train"))
+    params = cm.init_params(TINY)
+    cm.save_checkpoint(tmp_path / "new.npz", params, norm)
+
+    def old_layout(meta):
+        meta["config"]["mape_space"] = "transformed"
+        return meta
+
+    rewrite_meta(tmp_path / "new.npz", tmp_path / "old.npz", old_layout)
+    loaded, norm2 = cm.load_checkpoint(tmp_path / "old.npz")
+    assert loaded.config == TINY and norm2 == norm
+    inputs = rand_inputs(rng, 6)
+    assert np.array_equal(cm.forward(loaded, inputs)[0],
+                          cm.forward(params, inputs)[0])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {**m, "config": {**m["config"], "d_model": 16, "d_ff": 16}},
+    lambda m: {**m, "config": {**m["config"], "n_leaf_max": 2}},
+    lambda m: {**m, "config": {**m["config"], "decoder_dims": [6, 6]}},
+    lambda m: {**m, "config": {**m["config"], "n_layers": 10 ** 12}},
+    lambda m: {**m, "config": {**m["config"], "d_model": 8.0}},
+    lambda m: {**m, "config": {**m["config"], "lr": "x"}},
+    lambda m: {**m, "config": {**m["config"], "lr": 10 ** 400}},
+    lambda m: {**m, "normalizer": {**m["normalizer"], "lambda_bc": "x"}},
+    lambda m: {**m, "normalizer": {**m["normalizer"], "fitted": 1}},
+])
+def test_checkpoint_meta_that_does_not_fit_is_rejected(tmp_path, edit):
+    # the tensor checksum cannot see the metadata: a config that passes
+    # validate() but does not describe the tensors, or a value of the wrong
+    # type, must fail at load and not in the first forward pass
+    ds = _tiny_split_dataset()
+    cm.save_checkpoint(tmp_path / "ok.npz", cm.init_params(TINY),
+                       cm.fit_boxcox(ds.labels("train")))
+    rewrite_meta(tmp_path / "ok.npz", tmp_path / "bad.npz", edit)
+    with pytest.raises(CheckpointError):
+        cm.load_checkpoint(tmp_path / "bad.npz")
