@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -27,7 +28,7 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import DomainError, TpcostError, ValidationError
+from .errors import TpcostError, ValidationError
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
@@ -47,9 +48,20 @@ class UsageError(Exception):
     pass
 
 
-def _json_float(x: float):
-    """JSON has no Infinity; map non-finite metric values to None."""
-    return x if x == x and abs(x) != float("inf") else None
+def _json_text(obj, indent: int | None = None) -> str:
+    """JSON text with sorted keys for every artifact and stdout line. JSON
+    has no Infinity or NaN: a non-finite float, nested ones included, is
+    written as null."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+    return json.dumps(finite(obj), indent=indent, sort_keys=True,
+                      allow_nan=False)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,8 +194,7 @@ class RunDir:
         return target
 
     def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True)
-                               + "\n")
+        return self.write_text(name, _json_text(obj, indent=2) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         with open(self.file(name), "w", newline="", encoding="utf-8") as f:
@@ -298,7 +309,7 @@ def cmd_synth(args, config: RunConfig, run: RunDir) -> int:
         "boxcox_lambda": norm.lambda_bc,
     }
     run.write_json("skew_report.json", report)
-    print(json.dumps(report, sort_keys=True))
+    print(_json_text(report))
     return EXIT_OK
 
 
@@ -312,7 +323,7 @@ def cmd_dataset_split(args, config: RunConfig, run: RunDir) -> int:
     for name in ds.splits.values():
         counts[name] = counts.get(name, 0) + 1
     run.write_json("split_summary.json", counts)
-    print(json.dumps(counts, sort_keys=True))
+    print(_json_text(counts))
     return EXIT_OK
 
 
@@ -327,19 +338,14 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
     _write_log_csv(run, "train_log.csv", result.log)
     test_samples = ds.subset("test")
     summary = {"best_epoch": result.best_epoch,
-               "best_val_mape": _json_float(result.best_val_mape),
+               "best_val_mape": result.best_val_mape,
                "n_params": result.params.n_params()}
     if test_samples:
         inputs = cm.encode_dataset(test_samples, devices)
-        try:
-            pred = cm.predict_batch(result.params, inputs, result.normalizer)
-            summary["test"] = cm.metrics(pred,
-                                         [s.latency_s for s in test_samples])
-        except DomainError:
-            # model predicts outside the invertible label range
-            summary["test"] = None
+        pred = cm.predict_batch(result.params, inputs, result.normalizer)
+        summary["test"] = cm.metrics(pred, [s.latency_s for s in test_samples])
     run.write_json("summary.json", summary)
-    print(json.dumps(summary, sort_keys=True))
+    print(_json_text(summary))
     return EXIT_OK
 
 
@@ -361,16 +367,13 @@ def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     run.register("checkpoint.npz")
     _write_log_csv(run, "finetune_log.csv", result.log)
     summary = {"cmd_before": cmd_before, "cmd_after": cmd_after,
-               "val_mape": _json_float(result.best_val_mape)}
+               "val_mape": result.best_val_mape}
     if target.samples:
-        try:
-            pred = cm.predict_batch(result.params, target_inputs, normalizer)
-            summary["target"] = cm.metrics(
-                pred, [s.latency_s for s in target.samples])
-        except DomainError:
-            summary["target"] = None
+        pred = cm.predict_batch(result.params, target_inputs, normalizer)
+        summary["target"] = cm.metrics(
+            pred, [s.latency_s for s in target.samples])
     run.write_json("summary.json", summary)
-    print(json.dumps(summary, sort_keys=True))
+    print(_json_text(summary))
     return EXIT_OK
 
 
@@ -388,7 +391,7 @@ def cmd_sample(args, config: RunConfig, run: RunDir) -> int:
     kappa = args.kappa if args.kappa is not None else config.kappa
     selected = sampling.select_tasks(x, kappa, tasks, seed=config.seed)
     run.write_json("selected_tasks.json", selected)
-    print(json.dumps(selected))
+    print(_json_text(selected))
     return EXIT_OK
 
 
@@ -411,7 +414,7 @@ def cmd_predict(args, config: RunConfig, run: RunDir) -> int:
                    for s, p in zip(ds.samples, pred)))
     result = cm.metrics(pred, actual)
     run.write_json("metrics.json", result)
-    print(json.dumps(result, sort_keys=True))
+    print(_json_text(result))
     return EXIT_OK
 
 
@@ -432,7 +435,7 @@ def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
         run.write_csv("plot_data.csv", ["id", "actual_s", "predicted_s"],
                       ([s.id, repr(s.latency_s), repr(float(p))]
                        for s, p in zip(samples, pred)))
-    print(json.dumps(result, sort_keys=True))
+    print(_json_text(result))
     return EXIT_OK
 
 
@@ -468,7 +471,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
         run.write_csv("timeline.csv", ["node", "start_s", "end_s"],
                       ([node, repr(start), repr(end)] for node, (start, end)
                        in sorted(result.schedule.items())))
-    print(json.dumps({"iteration_time_s": result.iteration_time}))
+    print(_json_text({"iteration_time_s": result.iteration_time}))
     return EXIT_OK
 
 
@@ -493,11 +496,9 @@ def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
     run.write_json("best_config.json", asdict(best))
     run.write_csv("trials.csv", ["trial", "val_mape", "config"],
                   ([trial.index, repr(trial.val_mape),
-                    json.dumps(asdict(trial.config), sort_keys=True)]
+                    _json_text(asdict(trial.config))]
                    for trial in trials))
-    print(json.dumps(
-        {"best_val_mape": _json_float(min(t.val_mape for t in trials))},
-        sort_keys=True))
+    print(_json_text({"best_val_mape": min(t.val_mape for t in trials)}))
     return EXIT_OK
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import nn
 from .dataset import BoxCoxNormalizer, Dataset, fit_boxcox
-from .errors import (CheckpointError, DimensionMismatch, DomainError,
-                     EmptyBatch, EmptyDataset, EmptySelection, EmptySet,
+from .errors import (CheckpointError, DimensionMismatch, EmptyBatch,
+                     EmptyDataset, EmptySelection, EmptySet,
                      LeafCountExceeded, NonFiniteLoss, ValidationError)
 from .features import N_ENTRY, CompactAst, DeviceSpec, EncodedInput, encode_input
 
@@ -68,8 +68,11 @@ class CostModelConfig:
             raise ValidationError("epochs must be >= 0")
         if any(w < 1 for w in self.decoder_dims):
             raise ValidationError("decoder widths must be >= 1")
-        if self.lr <= 0 or self.lambda_hybrid < 0 or self.alpha_cmd < 0:
-            raise ValidationError("lr must be > 0; loss coefficients >= 0")
+        if not (0.0 < self.lr < math.inf):
+            raise ValidationError("lr must be finite and > 0")
+        for attr in ("lambda_hybrid", "alpha_cmd", "weight_decay"):
+            if not (0.0 <= getattr(self, attr) < math.inf):
+                raise ValidationError(f"{attr} must be finite and >= 0")
         if self.cmd_order < 1:
             raise ValidationError("cmd_order must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -169,7 +172,6 @@ def init_params(config: CostModelConfig) -> CostModelParams:
 @dataclass
 class LatentBatch:
     z_x: np.ndarray  # (batch, d_embed) device-independent embedding
-    z_v: np.ndarray  # (batch, d_device) device MLP output
     z: np.ndarray  # (batch, d_embed) aggregated embedding
 
 
@@ -252,7 +254,6 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
     n = len(inputs)
     pred = np.empty(n)
     z_x_all = np.empty((n, config.d_embed))
-    z_v_all = np.empty((n, config.d_device))
     z_all = np.empty((n, config.d_embed))
     caches: list[_GroupCache] = []
     for n_leaf in sorted(groups):
@@ -261,10 +262,9 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
         v = np.stack([inputs[i].device_vector for i in idx])
         pred[idx], cache = _forward_group(params.tensors, config, idx, x, v)
         z_x_all[idx] = cache.z_x
-        z_v_all[idx] = cache.z_v
         z_all[idx] = cache.z
         caches.append(cache)
-    return pred, LatentBatch(z_x=z_x_all, z_v=z_v_all, z=z_all), caches
+    return pred, LatentBatch(z_x=z_x_all, z=z_all), caches
 
 
 def forward(params: CostModelParams,
@@ -567,17 +567,6 @@ def encode_dataset(samples, devices: dict[str, DeviceSpec]
     return encoded
 
 
-def _evaluate(params: CostModelParams, inputs: list[EncodedInput],
-              latencies: np.ndarray,
-              normalizer: BoxCoxNormalizer) -> dict[str, float]:
-    pred_enc, _ = forward(params, inputs)
-    try:
-        pred = normalizer.decode(pred_enc)
-    except DomainError:
-        return {"mape": math.inf, "rmse": math.inf, "mspe": math.inf}
-    return metrics(pred, latencies)
-
-
 def _train_valid(ds: Dataset, caller: str):
     train_samples = ds.subset("train")
     valid_samples = ds.subset("valid")
@@ -632,7 +621,8 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
             losses.append(value)
             cmd_values.append(aux["cmd"])
             opt.step(params.tensors, grads, lr)
-        val = _evaluate(params, valid_inputs, valid_latency, normalizer)
+        val = metrics(predict_batch(params, valid_inputs, normalizer),
+                      valid_latency)
         log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
                             val_mape=val["mape"], val_rmse=val["rmse"],
                             lr=lr, cmd=float(np.mean(cmd_values))))
@@ -692,13 +682,13 @@ def predict(params: CostModelParams, compact: CompactAst, device: DeviceSpec,
     """Latency in seconds for one program on one device."""
     enc = encode_input(compact, device)
     pred_enc, _ = forward(params, [enc])
-    return float(normalizer.decode(pred_enc[0]))
+    return normalizer.decode(pred_enc[0])
 
 
 def predict_batch(params: CostModelParams, inputs: list[EncodedInput],
                   normalizer: BoxCoxNormalizer) -> np.ndarray:
     pred_enc, _ = forward(params, inputs)
-    return np.asarray(normalizer.decode(pred_enc))
+    return normalizer.decode(pred_enc)
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +707,9 @@ def _sample_space(space: dict, rng: np.random.Generator) -> dict:
     for key, choices in space.items():
         if isinstance(choices, list):
             sampled[key] = choices[int(rng.integers(0, len(choices)))]
-        elif isinstance(choices, tuple) and choices[0] == "uniform":
-            sampled[key] = float(rng.uniform(choices[1], choices[2]))
         elif isinstance(choices, tuple) and choices[0] == "loguniform":
             sampled[key] = float(math.exp(
                 rng.uniform(math.log(choices[1]), math.log(choices[2]))))
-        elif isinstance(choices, tuple) and choices[0] == "int":
-            sampled[key] = int(rng.integers(choices[1], choices[2] + 1))
         else:
             raise ValidationError(f"bad search space entry for '{key}'")
     return sampled

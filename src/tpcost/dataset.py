@@ -64,6 +64,8 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 _LAMBDA_ZERO_EPS = 1e-9
+_LAMBDA_RANGE = (-2.0, 2.0)  # fit_boxcox's search interval for lambda
+_LAMBDA_TOL = 1e-5
 
 
 @dataclass
@@ -111,8 +113,15 @@ class BoxCoxNormalizer:
         return (self.transform(y) - self.t_mean) / self.t_std
 
     def decode(self, e):
-        """Model space -> original scale."""
-        return self.inverse_transform(np.asarray(e) * self.t_std + self.t_mean)
+        """Model space -> original scale. An output with no positive
+        preimage (lambda*t + 1 <= 0) decodes to +inf; a scalar gives a
+        float."""
+        t = np.asarray(e, dtype=np.float64) * self.t_std + self.t_mean
+        out_of_range = (abs(self.lambda_bc) >= _LAMBDA_ZERO_EPS) & (
+            self.lambda_bc * t + 1.0 <= 0)
+        out = np.where(out_of_range, np.inf,
+                       self.inverse_transform(np.where(out_of_range, 0.0, t)))
+        return float(out) if np.isscalar(e) else out
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
@@ -134,8 +143,7 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def fit_boxcox(train_labels, lambda_range: tuple[float, float] = (-2.0, 2.0),
-               tol: float = 1e-5) -> BoxCoxNormalizer:
+def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     """Maximum-likelihood Box-Cox fit via golden-section search on the
     profile log-likelihood, followed by standardization of the transformed
     labels."""
@@ -148,7 +156,7 @@ def fit_boxcox(train_labels, lambda_range: tuple[float, float] = (-2.0, 2.0),
     shifted = y + shift
 
     lam = _golden_section_max(lambda l: float(sstats.boxcox_llf(l, shifted)),
-                              lambda_range[0], lambda_range[1], tol)
+                              *_LAMBDA_RANGE, _LAMBDA_TOL)
     norm = BoxCoxNormalizer(lambda_bc=lam, shift=shift, fitted=True)
     t = norm.transform(y)
     t_std = float(np.std(t))
@@ -222,8 +230,9 @@ class SynthOracleConfig:
             raise ValidationError("flops_efficiency must be in (0, 1]")
         if not (0.0 < self.mem_efficiency <= 1.0):
             raise ValidationError("mem_efficiency must be in (0, 1]")
-        if self.per_leaf_overhead_s < 0 or self.noise_sigma < 0:
-            raise ValidationError("overhead and noise_sigma must be >= 0")
+        for attr in ("per_leaf_overhead_s", "noise_sigma"):
+            if not (0.0 <= getattr(self, attr) < math.inf):
+                raise ValidationError(f"{attr} must be finite and >= 0")
 
 
 def _noise_seed(compact: CompactAst, device_name: str, seed: int) -> int:

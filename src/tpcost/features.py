@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import log2
+from math import inf, log2
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +91,13 @@ class DeviceSpec:
 
     def validate(self) -> None:
         for attr in ("clock_mhz", "mem_gb", "bandwidth_gbps", "cores"):
-            if getattr(self, attr) <= 0:
-                raise ValidationError(f"device '{self.name}': {attr} must be > 0")
-        if self.peak_fp32_gflops < 0 or self.l2_cache_mb < 0:
-            raise ValidationError(f"device '{self.name}': negative optional field")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+            if not (0 < getattr(self, attr) < inf):
+                raise ValidationError(
+                    f"device '{self.name}': {attr} must be finite and > 0")
+        for attr in ("peak_fp32_gflops", "l2_cache_mb"):
+            if not (0 <= getattr(self, attr) < inf):
+                raise ValidationError(
+                    f"device '{self.name}': {attr} must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSpec":
@@ -144,7 +144,7 @@ def save_device_catalog(catalog: dict[str, DeviceSpec] | list[DeviceSpec],
                         path: str | Path) -> None:
     specs = list(catalog.values()) if isinstance(catalog, dict) else catalog
     with open(path, "w", encoding="utf-8") as f:
-        json.dump([s.to_dict() for s in specs], f, indent=2)
+        json.dump([asdict(s) for s in specs], f, indent=2)
         f.write("\n")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,12 +65,6 @@ class Dfg:
                     frontier.append(nxt)
         if seen != len(self.nodes):
             raise CycleDetected("graph has a dependency cycle")
-
-    def successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for src, dst in self.edges:
-            succ[src].append(dst)
-        return succ
 
 
 def _index(dfg: Dfg) -> tuple[list[list[int]], list[int]]:
@@ -208,7 +203,8 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     """Graph JSON: nodes carry id/tir_key/device/gap_s/program_ref, edges are
     [from, to] pairs. Returns the graph and the tir_key -> program_ref map.
     A graph without nodes, or a node that lacks a field or has a malformed
-    one, raises ValidationError naming the file and the node index."""
+    one, or a negative or non-finite gap_s or duration_s, raises
+    ValidationError naming the file and the node index."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
@@ -228,6 +224,9 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
                 f"{path}: node {index}: missing field {e}") from e
         except (TypeError, ValueError) as e:
             raise ValidationError(f"{path}: node {index}: {e}") from e
+        if not (0.0 <= node.gap < math.inf and 0.0 <= node.duration < math.inf):
+            raise ValidationError(f"{path}: node {index}: gap_s and "
+                                  f"duration_s must be finite and >= 0")
         nodes.append(node)
         ref = entry.get("program_ref")
         if ref is not None:

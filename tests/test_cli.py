@@ -1,4 +1,5 @@
 import copy
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,8 +14,11 @@ from checkpoint_meta import rewrite_meta
 
 from tpcost.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, load_run_config,
                         main)
-from tpcost.costmodel import CostModelConfig
+from tpcost.costmodel import (CostModelConfig, encode_dataset, forward,
+                              init_params, save_checkpoint)
+from tpcost.dataset import fit_boxcox, load_dataset
 from tpcost.errors import TpcostError
+from tpcost.features import load_device_catalog
 
 IR_OK = """program demo {
   for i in 0..16 @parallel {
@@ -554,3 +558,122 @@ def test_fuzzed_inputs_exit_0_or_2(workdir, fuzz_inputs, data):
                      command])
     assert code in (EXIT_OK, EXIT_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# A NaN, infinite or negative number from outside the program exits 2 and
+# the error names where it came from
+# ---------------------------------------------------------------------------
+
+SMALL_MODEL = """d_model = 16
+n_layers = 1
+n_heads = 2
+d_ff = 16
+d_embed = 8
+d_device = 4
+decoder_dims = 8
+"""
+
+
+def _input_error(tmp_path, capsys, command, config_text, *names):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", "nan"), ("lr", "inf"), ("weight_decay", "-1"),
+    ("weight_decay", "nan"), ("lambda_hybrid", "nan"), ("alpha_cmd", "inf"),
+])
+def test_bad_model_coefficient_is_input_error(workdir, tmp_path, capsys, key,
+                                              value):
+    _input_error(tmp_path, capsys, "train",
+                 f"dataset = {workdir}/synth/dataset.jsonl\n"
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"{SMALL_MODEL}epochs = 1\n{key} = {value}\n", key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("per_leaf_overhead_s", "nan"), ("per_leaf_overhead_s", "inf"),
+    ("noise_sigma", "nan"), ("noise_sigma", "inf"),
+])
+def test_bad_oracle_value_is_input_error(tmp_path, capsys, key, value):
+    _input_error(tmp_path, capsys, "synth", f"n = 8\n{key} = {value}\n", key)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("clock_mhz", "nan"), ("mem_gb", "inf"), ("bandwidth_gbps", float("nan")),
+    ("peak_fp32_gflops", "inf"), ("l2_cache_mb", "nan"),
+])
+def test_non_finite_device_field_is_input_error(workdir, tmp_path, capsys,
+                                                field, value):
+    catalog = json.loads((workdir / "synth" / "devices.json").read_text())
+    catalog[0][field] = value
+    path = tmp_path / "devices.json"
+    path.write_text(json.dumps(catalog), encoding="utf-8")
+    _input_error(tmp_path, capsys, "synth", f"n = 8\ndevices = {path}\n",
+                 str(path), "entry 0", field)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gap_s", float("nan")), ("gap_s", float("inf")), ("gap_s", -1.0),
+    ("duration_s", float("nan")), ("duration_s", -1.0),
+])
+def test_bad_graph_time_is_input_error(workdir, tmp_path, capsys, field,
+                                       value):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    graph = copy.deepcopy(GRAPH)
+    graph["nodes"][1][field] = value
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    _input_error(tmp_path, capsys, "replay",
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {workdir}/train/checkpoint.npz\n"
+                 f"graph = {path}\nprograms = {programs}\ndevice = synth0\n",
+                 str(path), "node 1", field)
+
+
+# ---------------------------------------------------------------------------
+# Out-of-range predictions: inf in CSVs, null in JSON, exit 0
+# ---------------------------------------------------------------------------
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, csv_name", [
+    ("predict", "predictions.csv"), ("eval", "plot_data.csv")])
+def test_out_of_range_predictions_are_inf_and_null(workdir, tmp_path, capsys,
+                                                   command, csv_name):
+    ds = load_dataset(workdir / "synth" / "dataset.jsonl")
+    devices = load_device_catalog(workdir / "synth" / "devices.json")
+    params = init_params(CostModelConfig(
+        d_model=16, n_layers=1, n_heads=2, d_ff=16, d_embed=8, d_device=4,
+        decoder_dims=(8,), seed=5))
+    norm = fit_boxcox(ds.labels())
+    save_checkpoint(tmp_path / "untrained.npz", params, norm)
+    raw, _ = forward(params, encode_dataset(ds.samples, devices))
+    no_preimage = norm.lambda_bc * (raw * norm.t_std + norm.t_mean) + 1.0 <= 0
+    assert 0 < no_preimage.sum() < len(ds.samples)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
+                   f"devices = {workdir}/synth/devices.json\n"
+                   f"checkpoint = {tmp_path}/untrained.npz\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]
+                + (["--emit-plot-data"] if command == "eval" else [])
+                ) == EXIT_OK
+    stdout = capsys.readouterr().out.strip().splitlines()[-1]
+    assert json.loads(stdout) == {"mape": None, "rmse": None, "mspe": None}
+    for text in [stdout] + [p.read_text() for p in out.glob("*.json")]:
+        json.loads(text, parse_constant=_reject_constant)
+    with open(out / csv_name, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["predicted_s"] == "inf" for r in rows] == no_preimage.tolist()

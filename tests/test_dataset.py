@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_mle_lambda
 
@@ -52,6 +54,34 @@ def test_not_fitted_and_domain_errors():
     norm = BoxCoxNormalizer(lambda_bc=0.5, shift=0.0, fitted=True)
     with pytest.raises(DomainError):
         norm.inverse_transform(-3.0)  # 0.5*(-3)+1 <= 0
+
+
+LAMBDAS = (st.floats(-1e-9, 1e-9) | st.floats(-2.0, -1e-3)
+           | st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=LAMBDAS, t_mean=st.floats(-20.0, 20.0),
+       t_std=st.floats(1e-3, 10.0),
+       e=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+def test_decode_is_inf_exactly_without_preimage(lam, t_mean, t_std, e):
+    norm = BoxCoxNormalizer(lambda_bc=lam, shift=0.0, fitted=True,
+                            t_mean=t_mean, t_std=t_std)
+    e = np.array(e)
+    t = e * t_std + t_mean
+    if abs(lam) < 1e-9:
+        no_preimage = np.zeros(t.shape, dtype=bool)  # log branch
+    else:
+        no_preimage = lam * t + 1.0 <= 0
+    with np.errstate(over="ignore"):
+        out = norm.decode(e)
+        in_range = norm.inverse_transform(t[~no_preimage])
+        scalar = norm.decode(float(e[0]))
+    assert out.shape == e.shape
+    assert np.all(out[no_preimage] == np.inf)
+    assert out[~no_preimage].tobytes() == in_range.tobytes()
+    assert type(scalar) is float
+    assert np.float64(scalar).tobytes() == out[0].tobytes()
 
 
 def test_fit_matches_grid_oracle_on_lognormal(rng):

@@ -123,7 +123,9 @@ def test_invariants_on_random_dags(rng):
 
 def _critical_path(dfg):
     nodes = {n.id: n for n in dfg.nodes}
-    succ = dfg.successors()
+    succ = {n.id: [] for n in dfg.nodes}
+    for src, dst in dfg.edges:
+        succ[src].append(dst)
     memo = {}
 
     def longest(nid):
