@@ -621,6 +621,9 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
             losses.append(value)
             cmd_values.append(aux["cmd"])
             opt.step(params.tensors, grads, lr)
+        # one check per epoch: a step can overflow with a finite loss
+        if not np.isfinite(params.tensors.flat).all():
+            raise NonFiniteLoss(epoch)
         val = metrics(predict_batch(params, valid_inputs, normalizer),
                       valid_latency)
         log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
@@ -829,7 +832,8 @@ def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = ()):
 
 def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
     """Inverse of `save_checkpoint`. Any malformed file, metadata block or
-    config, or tensors that do not fit the config, raise CheckpointError.
+    config, tensors that do not fit the config, or a normalizer field out of
+    range (a non-finite one, `t_std <= 0`, `shift < 0`) raise CheckpointError.
     Checkpoints written before the objective lost its `mape_space` option
     carry that config key; it is dropped."""
     try:
@@ -863,4 +867,13 @@ def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
     norm = None
     if meta["normalizer"] is not None:
         norm = _from_json(BoxCoxNormalizer, meta["normalizer"], "normalizer")
+        inf = math.inf  # chained comparisons, which NaN fails
+        for name, ok in (("lambda_bc", -inf < norm.lambda_bc < inf),
+                         ("t_mean", -inf < norm.t_mean < inf),
+                         ("loss_offset", -inf < norm.loss_offset < inf),
+                         ("t_std", 0.0 < norm.t_std < inf),
+                         ("shift", 0.0 <= norm.shift < inf)):
+            if not ok:
+                raise CheckpointError(f"normalizer: bad value for '{name}': "
+                                      f"{getattr(norm, name)!r}")
     return params, norm

@@ -57,7 +57,7 @@ class EmptySelection(TpcostError):
 
 
 class NonFiniteLoss(TpcostError):
-    """Training loss became NaN/Inf. Carries the epoch index."""
+    """Training loss or parameters became NaN/Inf. Carries the epoch index."""
 
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss at epoch {epoch}")

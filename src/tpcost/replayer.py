@@ -2,10 +2,16 @@
 optionally split multi-core operators into parallel sub-nodes, and simulate
 the dataflow graph with one ready-queue per device.
 
-`dedup_predict` encodes every distinct kernel and runs the cost model once,
-as one batch. The durations match one `costmodel.predict` call per kernel
-within 1e-12 relative, not bit for bit: a batched matmul may sum in another
-order than a one-row one.
+A `Dfg` holds parallel columns over node positions (ids, tir keys, durations,
+gaps, devices, widths); its edges are resolved once into CSR successor
+offsets. An expansion keeps a node split k ways as one position of width k
+(sub-nodes `id#0` .. `id#k-1`) and reuses that index, so `simulate`, with one
+ready time and reference count per position, does O(N*k + E*k) work for N
+nodes and E edges, not O(E*k^2). `Dfg.nodes` and `.edges` are built on read.
+
+`dedup_predict` runs the cost model once, as one batch over the distinct
+kernels; its durations match per-kernel `costmodel.predict` calls within
+1e-12 relative, not bit for bit (a batched matmul may sum in another order).
 
 Scheduling policy: devices are scanned in ascending (deviceTime, index)
 order and the first one with a non-empty queue dispatches next; within a
@@ -20,8 +26,11 @@ import heapq
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence
 
 from . import costmodel, features
 from .errors import CycleDetected, InvalidDevice, ValidationError
@@ -44,45 +53,91 @@ class DfgNode:
         return self.tir_key.split(OP_CLASS_SEPARATOR, 1)[0]
 
 
-@dataclass
+class _Index(NamedTuple):
+    src: list[int]  # edge endpoints by position, in input order
+    dst: list[int]
+    start: list[int]  # successors of p: succ[start[p]:start[p + 1]]
+    succ: list[int]
+    acyclic: bool
+
+
 class Dfg:
-    nodes: list[DfgNode] = field(default_factory=list)
-    edges: list[tuple[str, str]] = field(default_factory=list)
+    """Columns over node positions, built from DfgNodes and (src, dst) id
+    pairs. The index is built on first use: `validate` reports a bad graph."""
+
+    def __init__(self, nodes: Sequence[DfgNode] = (),
+                 edges: Iterable[tuple[str, str]] = ()) -> None:
+        self._fill([n.id for n in nodes], [n.tir_key for n in nodes],
+                   [n.duration for n in nodes], [n.gap for n in nodes],
+                   [n.device for n in nodes], [(a, b) for a, b in edges])
+
+    def _fill(self, ids, keys, durations, gaps, devices, pairs, width=None,
+              index=None) -> Dfg:
+        self._ids, self._keys, self._durations = ids, keys, durations
+        self._gaps, self._devices, self._pairs = gaps, devices, pairs
+        self._width = width or [1] * len(ids)  # sub-nodes per position
+        self._index = index
+        return self
+
+    def _graph(self) -> _Index:
+        """The index, built once; ValidationError for a bad id or edge."""
+        if self._index is not None:
+            return self._index
+        ids, pairs = self._ids, self._pairs
+        position = {node_id: p for p, node_id in enumerate(ids)}
+        if len(position) != len(ids):
+            p = next(p for p, i in enumerate(ids) if position[i] != p)
+            raise ValidationError(f"duplicate node ids: '{ids[p]}' (node {p})")
+        src = [position.get(a, -1) for a, _ in pairs]
+        dst = [position.get(b, -1) for _, b in pairs]
+        if -1 in src or -1 in dst:
+            e = next(e for e, ends in enumerate(zip(src, dst)) if -1 in ends)
+            raise ValidationError(f"edge {e} {pairs[e]}: unknown node")
+        out_count, in_count = Counter(src), Counter(dst)
+        start = [0, *accumulate(out_count[p] for p in range(len(ids)))]
+        deg = [in_count[p] for p in range(len(ids))]
+        # a stable sort keeps each node's successors in input order
+        succ = [dst[e] for e in sorted(range(len(src)), key=src.__getitem__)]
+        order = [p for p, d in enumerate(deg) if d == 0]
+        for p in order:  # Kahn's algorithm: a cycle keeps nodes out of it
+            for c in succ[start[p]:start[p + 1]]:
+                deg[c] -= 1
+                if deg[c] == 0:
+                    order.append(c)
+        self._index = _Index(src, dst, start, succ, len(order) == len(ids))
+        return self._index
+
+    def _sub_ids(self, p: int) -> list[str]:
+        k, node_id = self._width[p], self._ids[p]
+        return [node_id] if k == 1 else [f"{node_id}#{i}" for i in range(k)]
+
+    @property
+    def nodes(self) -> list[DfgNode]:
+        """A snapshot: one new DfgNode per (sub-)node, in position order."""
+        return [DfgNode(sub_id, self._keys[p], self._durations[p],
+                        self._gaps[p], self._devices[p] + i)
+                for p in range(len(self._ids))
+                for i, sub_id in enumerate(self._sub_ids(p))]
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """A snapshot of the (src, dst) id pairs in input order; an edge
+        between split nodes lists every pair of their sub-nodes."""
+        if max(self._width, default=1) == 1:
+            return list(self._pairs)
+        subs = [self._sub_ids(p) for p in range(len(self._ids))]
+        return [(s, t) for a, b in zip(self._index.src, self._index.dst)
+                for s in subs[a] for t in subs[b]]
 
     def validate(self) -> None:
-        succ, indeg = _index(self)
-        for node in self.nodes:
-            if node.duration < 0 or node.gap < 0:
-                raise ValidationError(f"node '{node.id}': negative time")
-        frontier = [i for i, d in enumerate(indeg) if d == 0]
-        seen = 0
-        while frontier:
-            node = frontier.pop()
-            seen += 1
-            for nxt in succ[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    frontier.append(nxt)
-        if seen != len(self.nodes):
+        """ValidationError for a duplicate id, an edge to an unknown node or
+        a negative time; CycleDetected for a dependency cycle."""
+        graph = self._graph()
+        if bad := [i for i, d, g in zip(self._ids, self._durations, self._gaps)
+                   if d < 0 or g < 0]:
+            raise ValidationError(f"node '{bad[0]}': negative time")
+        if not graph.acyclic:
             raise CycleDetected("graph has a dependency cycle")
-
-
-def _index(dfg: Dfg) -> tuple[list[list[int]], list[int]]:
-    """Successors and in-degrees by node position, through one {id: position}
-    map. Raises ValidationError for duplicate ids and for an edge to an
-    unknown node."""
-    index = {n.id: i for i, n in enumerate(dfg.nodes)}
-    if len(index) != len(dfg.nodes):
-        raise ValidationError("duplicate node ids")
-    succ: list[list[int]] = [[] for _ in dfg.nodes]
-    indeg = [0] * len(dfg.nodes)
-    for src, dst in dfg.edges:
-        s, t = index.get(src), index.get(dst)
-        if s is None or t is None:
-            raise ValidationError(f"edge ({src}, {dst}) references unknown node")
-        succ[s].append(t)
-        indeg[t] += 1
-    return succ, indeg
 
 
 @dataclass
@@ -96,24 +151,31 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     termination, i.e. the last node's end plus its trailing gap."""
     if n_devices < 1:
         raise InvalidDevice("need at least one device")
-    for node in dfg.nodes:
-        if not (0 <= node.device < n_devices):
-            raise InvalidDevice(
-                f"node '{node.id}' placed on device {node.device}, "
-                f"have {n_devices}")
-    nodes = dfg.nodes
-    succ, ref = _index(dfg)
-    ready_time = [0.0] * len(nodes)
+    devices, durations, gaps, width = (dfg._devices, dfg._durations,
+                                       dfg._gaps, dfg._width)
+    if bad := [i for i, d, k in zip(dfg._ids, devices, width)
+               if not 0 <= d <= n_devices - k]:
+        raise InvalidDevice(f"node '{bad[0]}' needs a device outside 0.."
+                            f"{n_devices - 1}")
+    graph = dfg._graph()
+    if not graph.acyclic:
+        raise CycleDetected("graph has a dependency cycle")
+    start, succ, ref = graph.start, graph.succ, [0] * len(devices)
+    for s, t in zip(graph.src, graph.dst):  # edges into each sub-node of t
+        ref[t] += width[s]
+    ready_time = [0.0] * len(devices)
     device_time = [0.0] * n_devices
-    # heap entries (readyTime, id, index): ids are unique, so the index
-    # never decides the order
+    # heap entries (readyTime, id, position): ids are unique, so the
+    # position never decides the order; one heap per device
     queues: list[list[tuple[float, str, int]]] = [[] for _ in range(n_devices)]
-    for i, node in enumerate(nodes):
-        if ref[i] == 0:
-            heapq.heappush(queues[node.device], (0.0, node.id, i))
 
+    def release(p: int) -> None:  # every sub-node of p, with one ready time
+        for i, sub_id in enumerate(dfg._sub_ids(p)):
+            heapq.heappush(queues[devices[p] + i], (ready_time[p], sub_id, p))
+
+    for p in [p for p, count in enumerate(ref) if count == 0]:
+        release(p)
     schedule: dict[str, tuple[float, float]] = {}
-    scheduled = 0
     while True:
         pick = -1
         for d in range(n_devices):  # smallest (deviceTime, index) with work
@@ -121,66 +183,53 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
                 pick = d
         if pick < 0:
             break
-        _, node_id, i = heapq.heappop(queues[pick])
-        node = nodes[i]
-        start = max(device_time[pick], ready_time[i])
-        end = start + node.duration
-        schedule[node_id] = (start, end)
-        done = device_time[pick] = end + node.gap
-        scheduled += 1
-        for child in succ[i]:
+        _, sub_id, p = heapq.heappop(queues[pick])
+        begin = max(device_time[pick], ready_time[p])
+        end = begin + durations[p]
+        schedule[sub_id] = (begin, end)
+        done = device_time[pick] = end + gaps[p]
+        for child in succ[start[p]:start[p + 1]]:
             ref[child] -= 1
             if done > ready_time[child]:
                 ready_time[child] = done
             if ref[child] == 0:
-                heapq.heappush(queues[nodes[child].device],
-                               (ready_time[child], nodes[child].id, child))
-    if scheduled != len(dfg.nodes):
-        raise CycleDetected(
-            f"{len(dfg.nodes) - scheduled} nodes never became ready")
+                release(child)
     return SimResult(iteration_time=max(device_time, default=0.0),
                      schedule=schedule)
 
 
 def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
     """Split every node whose op class appears in `rules` into k parallel
-    sub-nodes of duration/k each, inheriting all edges. Sub-node i runs on
-    device index (node.device + i); size the simulated device set
-    accordingly."""
-    for op_class, k in rules.items():
-        if k < 1:
-            raise ValidationError(f"rule '{op_class}': core count must be >= 1")
-    nodes: list[DfgNode] = []
-    expansion: dict[str, list[str]] = {}
-    for node in dfg.nodes:
-        k = rules.get(node.op_class, 1)
-        if k == 1:
-            nodes.append(DfgNode(node.id, node.tir_key, node.duration,
-                                 node.gap, node.device))
-            expansion[node.id] = [node.id]
-            continue
-        sub_ids = [f"{node.id}#{i}" for i in range(k)]
-        nodes.extend(DfgNode(sub_id, node.tir_key, node.duration / k,
-                             node.gap, node.device + i)
-                     for i, sub_id in enumerate(sub_ids))
-        expansion[node.id] = sub_ids
-    edges = [(s, t) for src, dst in dfg.edges
-             for s in expansion[src] for t in expansion[dst]]
-    out = Dfg(nodes=nodes, edges=edges)
+    sub-nodes `id#0` .. `id#k-1` of duration/k each, inheriting all edges.
+    Sub-node i runs on device index (node.device + i); size the simulated
+    device set accordingly. The result shares the input's index."""
+    if bad := [op_class for op_class, k in rules.items() if k < 1]:
+        raise ValidationError(f"rule '{bad[0]}': core count must be >= 1")
+    if max(dfg._width, default=1) > 1:  # split an expansion's sub-nodes
+        dfg = Dfg(dfg.nodes, dfg.edges)
+    graph, ids = dfg._graph(), dfg._ids
+    width_of = {key: rules.get(key.split(OP_CLASS_SEPARATOR, 1)[0], 1)
+                for key in set(dfg._keys)}
+    width = [width_of[key] for key in dfg._keys]
+    # an unsplit id can equal a sub-node id only if it holds a '#'
+    if taken := {i for i, k in zip(ids, width) if k == 1 and "#" in i}:
+        if clash := taken.intersection(f"{i}#{j}" for i, k in zip(ids, width)
+                                       if k > 1 for j in range(k)):
+            raise ValidationError(f"duplicate node ids: '{min(clash)}'")
+    out = Dfg()._fill(ids, dfg._keys,
+                      [d / k for d, k in zip(dfg._durations, width)],
+                      dfg._gaps, dfg._devices, dfg._pairs, width, graph)
     out.validate()
     return out
 
 
 def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
                   device, normalizer, predictor=None) -> dict[str, float]:
-    """Fill every node's duration with one prediction per distinct tir_key,
-    taken in order of first appearance.
-
-    `programs` maps tir_key to the program's compact AST. The cost model
-    predicts all keys in one batch. A custom `predictor(compact, device)`
-    can replace it (used in tests and by oracle replays); it is called once
-    per key."""
-    keys = list(dict.fromkeys(node.tir_key for node in dfg.nodes))
+    """Fill the duration column with one prediction per distinct tir_key, in
+    order of first appearance; `programs` maps tir_key to compact AST. The
+    cost model predicts all keys in one batch; a custom `predictor(compact,
+    device)` (tests, oracle replays) is called once per key instead."""
+    keys = list(dict.fromkeys(dfg._keys))
     for key in keys:
         if key not in programs:
             raise ValidationError(f"no program for tir_key '{key}'")
@@ -190,8 +239,7 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
     else:
         values = [float(predictor(programs[key], device)) for key in keys]
     durations = dict(zip(keys, values))
-    for node in dfg.nodes:
-        node.duration = durations[node.tir_key]
+    dfg._durations = [durations[key] for key in dfg._keys]
     return durations
 
 
@@ -201,47 +249,54 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
 
 def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     """Graph JSON: nodes carry id/tir_key/device/gap_s/program_ref, edges are
-    [from, to] pairs. Returns the graph and the tir_key -> program_ref map.
-    A graph without nodes, or a node that lacks a field or has a malformed
-    one, or a negative or non-finite gap_s or duration_s, raises
-    ValidationError naming the file and the node index."""
+    [from, to] lists. Returns the graph and the tir_key -> program_ref map.
+    A bad graph raises ValidationError (CycleDetected for a cycle) naming the
+    file and the node or edge index: no nodes, a missing or malformed field,
+    a device that is not a JSON integer, a negative or non-finite gap_s or
+    duration_s, a malformed or dangling edge, or a duplicate id."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValidationError(
             f"{path}: graph must be a JSON object with a list of nodes")
-    nodes = []
+    rows = []  # (id, tir_key, duration, gap, device) per node
     key_to_ref: dict[str, str] = {}
     for index, entry in enumerate(entries):
         try:
-            node = DfgNode(id=str(entry["id"]), tir_key=str(entry["tir_key"]),
-                           gap=float(entry.get("gap_s", 0.0)),
-                           device=int(entry.get("device", 0)),
-                           duration=float(entry.get("duration_s", 0.0)))
+            row = (str(entry["id"]), str(entry["tir_key"]),
+                   float(entry.get("duration_s", 0.0)),
+                   float(entry.get("gap_s", 0.0)), entry.get("device", 0))
         except KeyError as e:
             raise ValidationError(
                 f"{path}: node {index}: missing field {e}") from e
         except (TypeError, ValueError) as e:
             raise ValidationError(f"{path}: node {index}: {e}") from e
-        if not (0.0 <= node.gap < math.inf and 0.0 <= node.duration < math.inf):
-            raise ValidationError(f"{path}: node {index}: gap_s and "
-                                  f"duration_s must be finite and >= 0")
-        nodes.append(node)
+        if not (0.0 <= row[2] < math.inf and 0.0 <= row[3] < math.inf
+                and type(row[4]) is int):
+            raise ValidationError(f"{path}: node {index}: gap_s and duration_s "
+                                  f"must be finite and >= 0, device a JSON "
+                                  f"integer")
+        rows.append(row)
         ref = entry.get("program_ref")
-        if ref is not None:
-            prev = key_to_ref.setdefault(node.tir_key, str(ref))
-            if prev != str(ref):
-                raise ValidationError(
-                    f"tir_key '{node.tir_key}' maps to multiple programs")
-    if not nodes:
+        if ref is not None and key_to_ref.setdefault(row[1], str(ref)) != str(ref):
+            raise ValidationError(f"{path}: node {index}: tir_key "
+                                  f"'{row[1]}' maps to multiple programs")
+    if not rows:
         raise ValidationError(f"{path}: graph has no nodes")
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValidationError(f"{path}: edges must be a list")
+    for index, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 2:
+            raise ValidationError(f"{path}: edges[{index}] must be a "
+                                  f"[from, to] list, not {edge!r}")
+    dfg = Dfg()._fill(*map(list, zip(*rows)),
+                      [(str(a), str(b)) for a, b in edges])
     try:
-        edges = [(str(a), str(b)) for a, b in data.get("edges", [])]
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: edges must be [from, to] pairs") from e
-    dfg = Dfg(nodes=nodes, edges=edges)
-    dfg.validate()
+        dfg.validate()
+    except (ValidationError, CycleDetected) as e:
+        raise type(e)(f"{path}: {e}") from e
     return dfg, key_to_ref
 
 
@@ -265,23 +320,16 @@ _BLOCK_TOKEN = re.compile(r"#[^\n]*|[{}]")
 def _split_programs(text: str) -> list[str]:
     """Split concatenated program blocks at top-level closing braces; braces
     inside `#` comments do not count."""
-    boundaries = []
-    depth = 0
+    chunks, depth, prev = [], 0, 0
     for m in _BLOCK_TOKEN.finditer(text):
-        ch = m.group()
-        if ch == "{":
+        if m.group() == "{":
             depth += 1
-        elif ch == "}":
+        elif m.group() == "}":
             depth -= 1
             if depth == 0:
-                boundaries.append(m.start())
-    chunks = []
-    prev = 0
-    for end in boundaries:
-        chunk = text[prev:end + 1]
-        if chunk.strip():
-            chunks.append(chunk)
-        prev = end + 1
+                if text[prev:m.end()].strip():
+                    chunks.append(text[prev:m.end()])
+                prev = m.end()
     if text[prev:].strip():
         raise ValidationError("trailing text after last program block")
     return chunks
@@ -296,14 +344,11 @@ def replay_model(graph_path: str | Path, programs_path: str | Path, params,
     dfg, key_to_ref = load_graph(graph_path)
     compacts = load_programs(programs_path, max_leaves=(
         MAX_LEAVES_DEFAULT if params is None else params.config.n_leaf_max))
-    programs = {}
-    for key, ref in key_to_ref.items():
-        if ref not in compacts:
-            raise ValidationError(f"program_ref '{ref}' not found")
-        programs[key] = compacts[ref]
+    if missing := set(key_to_ref.values()) - set(compacts):
+        raise ValidationError(f"program_ref '{min(missing)}' not found")
+    programs = {key: compacts[ref] for key, ref in key_to_ref.items()}
     dedup_predict(dfg, programs, params, device, normalizer,
                   predictor=predictor)
     if rules:
         dfg = expand_device_parallel(dfg, rules)
-    n_devices = max(n.device for n in dfg.nodes) + 1
-    return simulate(dfg, n_devices)
+    return simulate(dfg, max(d + k for d, k in zip(dfg._devices, dfg._width)))

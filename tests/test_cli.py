@@ -639,6 +639,53 @@ def test_bad_graph_time_is_input_error(workdir, tmp_path, capsys, field,
                  str(path), "node 1", field)
 
 
+AB_NODES = [{"id": "a", "tir_key": "k0", "program_ref": "demo"},
+            {"id": "b", "tir_key": "k1", "program_ref": "demo"}]
+
+
+@pytest.mark.parametrize("graph, names", [
+    # a string or an object of two-letter keys once unpacked as an a -> b edge
+    ({"nodes": AB_NODES, "edges": ["ab"]}, ["edges[0]"]),
+    ({"nodes": AB_NODES, "edges": {"ab": 1}}, ["edges"]),
+    ({"nodes": AB_NODES, "edges": [["a", "b"], ["a", "b", "c"]]},
+     ["edges[1]"]),
+    ({"nodes": AB_NODES, "edges": [["a", "zz"]]}, ["edge 0", "zz"]),
+    ({"nodes": [AB_NODES[0], {**AB_NODES[1], "device": 1.9}]},
+     ["node 1", "device"]),
+    ({"nodes": [AB_NODES[0], {**AB_NODES[1], "device": True}]},
+     ["node 1", "device"]),
+], ids=["edge-string", "edges-object", "edge-triple", "unknown-endpoint",
+        "device-float", "device-bool"])
+def test_malformed_graph_edge_or_device_is_input_error(workdir, tmp_path,
+                                                       capsys, graph, names):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    _input_error(tmp_path, capsys, "replay",
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {workdir}/train/checkpoint.npz\n"
+                 f"graph = {path}\nprograms = {programs}\ndevice = synth0\n",
+                 str(path), *names)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_bc", float("nan")), ("t_mean", float("inf")),
+    ("loss_offset", float("nan")), ("t_std", float("nan")), ("t_std", 0.0),
+    ("shift", -1.0), ("shift", float("inf")),
+])
+def test_normalizer_out_of_range_is_input_error(workdir, tmp_path, capsys,
+                                                field, value):
+    bad = tmp_path / "bad.npz"
+    rewrite_meta(workdir / "train" / "checkpoint.npz", bad,
+                 lambda m: {**m, "normalizer": {**m["normalizer"],
+                                                field: value}})
+    _input_error(tmp_path, capsys, "predict",
+                 f"dataset = {workdir}/synth/dataset.jsonl\n"
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {bad}\n", field)
+
+
 # ---------------------------------------------------------------------------
 # Out-of-range predictions: inf in CSVs, null in JSON, exit 0
 # ---------------------------------------------------------------------------

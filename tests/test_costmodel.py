@@ -9,7 +9,7 @@ from checkpoint_meta import rewrite_meta
 from oracles import cmd_bruteforce
 
 from tpcost import costmodel as cm
-from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, SynthOracleConfig,
+from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, Dataset, SynthOracleConfig,
                             generate_synthetic, split_dataset)
 from tpcost.errors import (CheckpointError, EmptyBatch, EmptySelection,
                            EmptySet, LeafCountExceeded, NonFiniteLoss,
@@ -425,6 +425,35 @@ def test_diverging_run_reports_its_epoch(alpha_cmd):
         assert info.value.epoch >= 0
 
 
+def _one_batch_dataset():
+    """Eight one-leaf training samples (one minibatch of 8) and eight
+    validation samples."""
+    ds = generate_synthetic(64, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=3)
+    train = [s for s in ds.samples if s.compact.n_leaf == 1][:8]
+    valid = ds.samples[40:48]
+    assert len(train) == 8 and not {s.id for s in train} & {s.id for s in valid}
+    return Dataset(samples=train + valid,
+                   splits={**{s.id: "train" for s in train},
+                           **{s.id: "valid" for s in valid}})
+
+
+@pytest.mark.parametrize("kind", ["train", "finetune"])
+def test_step_to_non_finite_parameters_raises(kind):
+    # the loss before the one step is finite; the step overflows
+    ds = _one_batch_dataset()
+    config = cm.desk_config(optimizer="sgd", lr=1e308, epochs=1, seed=1,
+                            batch_size=8, d_model=16, d_ff=16, d_embed=8,
+                            d_device=4, decoder_dims=(8,))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as info:
+        if kind == "train":
+            cm.train(config, ds, DEVICES)
+        else:
+            norm = cm.fit_boxcox(ds.labels("train"))
+            cm.finetune(cm.init_params(config), ds, [], config, DEVICES, norm)
+    assert info.value.epoch == 0
+
+
 # ---------------------------------------------------------------------------
 # Tuner
 # ---------------------------------------------------------------------------
@@ -558,4 +587,22 @@ def test_checkpoint_meta_that_does_not_fit_is_rejected(tmp_path, edit):
                        cm.fit_boxcox(ds.labels("train")))
     rewrite_meta(tmp_path / "ok.npz", tmp_path / "bad.npz", edit)
     with pytest.raises(CheckpointError):
+        cm.load_checkpoint(tmp_path / "bad.npz")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_bc", math.nan), ("lambda_bc", math.inf), ("t_mean", math.nan),
+    ("t_mean", -math.inf), ("loss_offset", math.nan), ("t_std", math.nan),
+    ("t_std", math.inf), ("t_std", 0.0), ("t_std", -1.0), ("shift", math.nan),
+    ("shift", math.inf), ("shift", -0.5),
+])
+def test_checkpoint_normalizer_out_of_range_is_rejected(tmp_path, field,
+                                                        value):
+    ds = _tiny_split_dataset()
+    cm.save_checkpoint(tmp_path / "ok.npz", cm.init_params(TINY),
+                       cm.fit_boxcox(ds.labels("train")))
+    rewrite_meta(tmp_path / "ok.npz", tmp_path / "bad.npz",
+                 lambda m: {**m, "normalizer": {**m["normalizer"],
+                                                field: value}})
+    with pytest.raises(CheckpointError, match=field):
         cm.load_checkpoint(tmp_path / "bad.npz")

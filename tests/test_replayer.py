@@ -1,8 +1,9 @@
+import heapq
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_sim import oracle_simulate
@@ -211,6 +212,194 @@ def test_simulate_expanded_matches_bruteforce_oracle(rng):
                                                            n_devices)
         assert result.iteration_time == expected_time
         assert result.schedule == expected_schedule
+
+
+# ---------------------------------------------------------------------------
+# The columnar graph against the object graph it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_index(nodes, edges):
+    """Successor lists and in-degrees of the object graph (DfgNode list and
+    id pairs) by node position."""
+    index = {n.id: i for i, n in enumerate(nodes)}
+    if len(index) != len(nodes):
+        raise ValidationError("duplicate node ids")
+    succ = [[] for _ in nodes]
+    indeg = [0] * len(nodes)
+    for src, dst in edges:
+        s, t = index.get(src), index.get(dst)
+        if s is None or t is None:
+            raise ValidationError(f"edge ({src}, {dst}) references unknown node")
+        succ[s].append(t)
+        indeg[t] += 1
+    return succ, indeg
+
+
+def _reference_validate(nodes, edges):
+    succ, indeg = _reference_index(nodes, edges)
+    for node in nodes:
+        if node.duration < 0 or node.gap < 0:
+            raise ValidationError(f"node '{node.id}': negative time")
+    frontier = [i for i, d in enumerate(indeg) if d == 0]
+    seen = 0
+    while frontier:
+        node = frontier.pop()
+        seen += 1
+        for nxt in succ[node]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                frontier.append(nxt)
+    if seen != len(nodes):
+        raise CycleDetected("graph has a dependency cycle")
+
+
+def _reference_simulate(nodes, edges, n_devices):
+    """The list-based simulator: one ready time and reference count per
+    expanded node. Returns (iteration_time, schedule items in dispatch
+    order)."""
+    if n_devices < 1:
+        raise InvalidDevice("need at least one device")
+    for node in nodes:
+        if not (0 <= node.device < n_devices):
+            raise InvalidDevice(f"node '{node.id}' on device {node.device}")
+    succ, ref = _reference_index(nodes, edges)
+    ready_time = [0.0] * len(nodes)
+    device_time = [0.0] * n_devices
+    queues = [[] for _ in range(n_devices)]
+    for i, node in enumerate(nodes):
+        if ref[i] == 0:
+            heapq.heappush(queues[node.device], (0.0, node.id, i))
+    schedule = {}
+    while True:
+        pick = -1
+        for d in range(n_devices):
+            if queues[d] and (pick < 0 or device_time[d] < device_time[pick]):
+                pick = d
+        if pick < 0:
+            break
+        _, node_id, i = heapq.heappop(queues[pick])
+        start = max(device_time[pick], ready_time[i])
+        end = start + nodes[i].duration
+        schedule[node_id] = (start, end)
+        done = device_time[pick] = end + nodes[i].gap
+        for child in succ[i]:
+            ref[child] -= 1
+            if done > ready_time[child]:
+                ready_time[child] = done
+            if ref[child] == 0:
+                heapq.heappush(queues[nodes[child].device],
+                               (ready_time[child], nodes[child].id, child))
+    if len(schedule) != len(nodes):
+        raise CycleDetected("nodes never became ready")
+    return max(device_time, default=0.0), list(schedule.items())
+
+
+def _reference_expand(nodes, edges, rules):
+    """The explicit expansion: k sub-nodes per split node and k_src * k_dst
+    edges per edge. It checks its input's index first, as the columnar one
+    does; the object-graph expansion let a KeyError escape for an edge to an
+    unknown node."""
+    for op_class, k in rules.items():
+        if k < 1:
+            raise ValidationError(f"rule '{op_class}': core count must be >= 1")
+    _reference_index(nodes, edges)
+    out_nodes, expansion = [], {}
+    for node in nodes:
+        k = rules.get(node.op_class, 1)
+        if k == 1:
+            out_nodes.append(DfgNode(node.id, node.tir_key, node.duration,
+                                     node.gap, node.device))
+            expansion[node.id] = [node.id]
+            continue
+        sub_ids = [f"{node.id}#{i}" for i in range(k)]
+        out_nodes.extend(DfgNode(sub_id, node.tir_key, node.duration / k,
+                                 node.gap, node.device + i)
+                         for i, sub_id in enumerate(sub_ids))
+        expansion[node.id] = sub_ids
+    out_edges = [(s, t) for src, dst in edges
+                 for s in expansion[src] for t in expansion[dst]]
+    _reference_validate(out_nodes, out_edges)
+    return out_nodes, out_edges
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValidationError, CycleDetected, InvalidDevice) as e:
+        return type(e)
+
+
+@st.composite
+def _graph_cases(draw):
+    """Small graphs that are mostly valid DAGs; some repeat an id, take a
+    sub-node id, name an unknown node, close a cycle, place a node off the
+    device range or carry a negative time."""
+    n = draw(st.integers(0, 8))
+    ids = [f"n{i}" for i in range(n)]
+    flaw = draw(st.sampled_from([None] * 6 + ["dup", "sub-id", "unknown",
+                                              "cycle", "device", "negative"]))
+    if n >= 2 and flaw == "dup":
+        ids[-1] = ids[0]
+    if n >= 2 and flaw == "sub-id":
+        ids[-1] = f"{ids[0]}#{draw(st.integers(0, 1))}"
+    times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                      st.floats(1e-6, 5.0))
+    nodes = [DfgNode(ids[i], draw(st.sampled_from(["conv:a", "conv:b", "mm:x",
+                                                    "io:y", "k"])),
+                     draw(times), draw(st.sampled_from([0.0, 0.0, 0.25])),
+                     draw(st.integers(0, 2)))
+             for i in range(n)]
+    if n >= 2 and flaw == "sub-id":
+        nodes[-1].tir_key = "k"  # never split: it keeps the taken id
+    if n and flaw == "device":
+        nodes[-1].device = draw(st.sampled_from([-1, 9]))
+    if n and flaw == "negative":
+        nodes[-1].duration = -1.0
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))),
+                          max_size=3 * n)) if n else []
+    edges = [(ids[min(i, j)], ids[max(i, j)]) for i, j in pairs if i != j]
+    if n >= 2 and flaw == "cycle":
+        edges.append((ids[-1], ids[0]))
+    if n and flaw == "unknown":
+        edges.insert(draw(st.integers(0, len(edges))), (ids[0], "zz"))
+    rules = draw(st.dictionaries(st.sampled_from(["conv", "mm", "io"]),
+                                 st.integers(1, 4), max_size=3))
+    return nodes, edges, rules, draw(st.integers(0, 7))
+
+
+@settings(max_examples=400)
+@given(_graph_cases())
+def test_columnar_graph_matches_object_graph_reference(case):
+    nodes, edges, rules, n_devices = case
+    dfg = Dfg(nodes=nodes, edges=edges)
+    assert dfg.nodes == nodes and dfg.edges == edges
+    assert _outcome(dfg.validate) == _outcome(
+        lambda: _reference_validate(nodes, edges))
+
+    def replay(graph, devices):
+        result = simulate(graph, devices)
+        return result.iteration_time, list(result.schedule.items())
+
+    assert _outcome(lambda: replay(dfg, n_devices)) == _outcome(
+        lambda: _reference_simulate(nodes, edges, n_devices))
+    expected = _outcome(lambda: _reference_expand(nodes, edges, rules))
+    out = _outcome(lambda: expand_device_parallel(dfg, rules))
+    if isinstance(expected, type):
+        assert out == expected
+        return
+    assert (out.nodes, out.edges) == expected
+    enough = max((n.device for n in expected[0]), default=0) + 1
+    for devices in (n_devices, enough):
+        assert _outcome(lambda: replay(out, devices)) == _outcome(
+            lambda: _reference_simulate(*expected, devices))
+    # splitting an expansion again splits its sub-nodes
+    again = _outcome(lambda: expand_device_parallel(out, rules))
+    ref_again = _outcome(lambda: _reference_expand(*expected, rules))
+    if isinstance(ref_again, type):
+        assert again == ref_again
+    else:
+        assert (again.nodes, again.edges) == ref_again
 
 
 # ---------------------------------------------------------------------------
