@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,11 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import TpcostError, ValidationError
+from .errors import TpcostError, ValidationError, read_json, read_text
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
-from .dataset import (DEFAULT_SYNTH_DEVICE, SynthOracleConfig,
+from .dataset import (DEFAULT_SYNTH_DEVICE, SPLIT_RATIOS, SynthOracleConfig,
                       compact_json_fields, load_dataset, save_dataset,
                       skewness, split_dataset)
 
@@ -81,6 +81,18 @@ def _strs(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _field_keys(cls, **rename: str) -> dict:
+    """Config key -> (field name, parser, default) for every field of the
+    dataclass `cls`; the parser is the type of the field's default."""
+    return {rename.get(f.name, f.name):
+            (f.name, _ints if isinstance(f.default, tuple) else type(f.default),
+             f.default) for f in fields(cls)}
+
+
+# model architecture / optimization, plus the global seed
+_MODEL_KEYS = _field_keys(cm.CostModelConfig)
+_ORACLE_KEYS = _field_keys(SynthOracleConfig, seed="oracle_seed")
+
 _SCHEMA: dict[str, tuple] = {
     # paths
     "dataset": (str, None),
@@ -93,31 +105,20 @@ _SCHEMA: dict[str, tuple] = {
     "rules": (str, None),
     # names
     "device": (str, None),
-    # synthetic oracle
+    # synthetic dataset
     "n": (int, 1000),
-    "flops_efficiency": (float, 0.6),
-    "mem_efficiency": (float, 0.7),
-    "per_leaf_overhead_s": (float, 2e-6),
-    "noise_sigma": (float, 0.0),
-    "oracle_seed": (int, 0),
+    **{key: spec[1:] for key, spec in _ORACLE_KEYS.items()},
     # splitting
     "split_seed": (int, 0),
     "holdout_models": (_strs, ()),
-    "ratio_train": (int, 8),
-    "ratio_valid": (int, 1),
-    "ratio_test": (int, 1),
+    **{key: (int, ratio) for key, ratio in
+       zip(("ratio_train", "ratio_valid", "ratio_test"), SPLIT_RATIOS)},
     # sampling / tuning
     "kappa": (int, 4),
     "budget": (int, 8),
     "tune_epochs": (int, 10),
+    **{key: spec[1:] for key, spec in _MODEL_KEYS.items()},
 }
-
-# model architecture / optimization, plus the global seed: every
-# CostModelConfig field, parsed by the type of its default
-_MODEL_KEYS = tuple(f.name for f in fields(cm.CostModelConfig))
-_SCHEMA.update({f.name: (_ints if isinstance(f.default, tuple)
-                         else type(f.default), f.default)
-                for f in fields(cm.CostModelConfig)})
 
 
 class RunConfig:
@@ -137,15 +138,19 @@ class RunConfig:
             raise TpcostError(f"config key '{key}' is required for this command")
         return value
 
+    def build(self, cls, keys: dict):  # keys: the `_field_keys` of cls
+        return cls(**{name: self.values[key]
+                      for key, (name, *_) in keys.items()})
+
     def model_config(self) -> cm.CostModelConfig:
-        return cm.CostModelConfig(**{k: self.values[k] for k in _MODEL_KEYS})
+        return self.build(cm.CostModelConfig, _MODEL_KEYS)
 
 
 def load_run_config(path: str | None, seed_override: int | None = None) -> RunConfig:
     values = {key: default for key, (_, default) in _SCHEMA.items()}
     text = ""
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -237,8 +242,7 @@ def _load_model(config: RunConfig):
 
 def _load_splits(path: str) -> dict[str, str]:
     """A splits file: a JSON object of sample id to split name."""
-    with open(path, "r", encoding="utf-8") as f:
-        splits = json.load(f)
+    splits = read_json(path)
     if not isinstance(splits, dict):
         raise ValidationError(f"{path}: splits must be a JSON object")
     for key, name in splits.items():
@@ -247,15 +251,17 @@ def _load_splits(path: str) -> dict[str, str]:
     return splits
 
 
+def _ratio_split(ds: dsmod.Dataset, config: RunConfig) -> dsmod.Dataset:
+    ratios = (config.ratio_train, config.ratio_valid, config.ratio_test)
+    return split_dataset(ds, ratios=ratios, seed=config.split_seed,
+                         holdout_models=set(config.holdout_models))
+
+
 def _load_split_dataset(config: RunConfig) -> dsmod.Dataset:
     ds = load_dataset(config.require("dataset"))
-    splits_path = config.values.get("splits")
-    if splits_path is not None:
-        ds.splits = _load_splits(splits_path)
-    else:
-        ratios = (config.ratio_train, config.ratio_valid, config.ratio_test)
-        ds = split_dataset(ds, ratios=ratios, seed=config.split_seed,
-                           holdout_models=set(config.holdout_models))
+    if config.splits is None:
+        return _ratio_split(ds, config)
+    ds.splits = _load_splits(config.splits)
     return ds
 
 
@@ -268,8 +274,7 @@ def cmd_extract(args, config: RunConfig) -> int:
     lines = []
     for path in args.ir_files:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            ast = parse_program(text, max_leaves=config.n_leaf_max)
+            ast = parse_program(read_text(path), max_leaves=config.n_leaf_max)
             compact = build_compact_ast(ast)
             lines.append("{"
                          f"\"id\":{json.dumps(ast.name)},"
@@ -289,12 +294,8 @@ def cmd_extract(args, config: RunConfig) -> int:
 
 def cmd_synth(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    oracle = SynthOracleConfig(
-        flops_efficiency=config.flops_efficiency,
-        mem_efficiency=config.mem_efficiency,
-        per_leaf_overhead_s=config.per_leaf_overhead_s,
-        noise_sigma=config.noise_sigma, seed=config.oracle_seed)
-    ds = dsmod.generate_synthetic(config.n, list(devices.values()), oracle,
+    ds = dsmod.generate_synthetic(config.n, list(devices.values()),
+                                  config.build(SynthOracleConfig, _ORACLE_KEYS),
                                   seed=config.seed)
     save_dataset(ds, run.file("dataset.jsonl"))
     run.register("dataset.jsonl")
@@ -314,10 +315,7 @@ def cmd_synth(args, config: RunConfig, run: RunDir) -> int:
 
 
 def cmd_dataset_split(args, config: RunConfig, run: RunDir) -> int:
-    ds = load_dataset(config.require("dataset"))
-    ratios = (config.ratio_train, config.ratio_valid, config.ratio_test)
-    ds = split_dataset(ds, ratios=ratios, seed=config.split_seed,
-                       holdout_models=set(config.holdout_models))
+    ds = _ratio_split(load_dataset(config.require("dataset")), config)
     run.write_json("splits.json", ds.splits)
     counts = {}
     for name in ds.splits.values():
@@ -341,9 +339,8 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
                "best_val_mape": result.best_val_mape,
                "n_params": result.params.n_params()}
     if test_samples:
-        inputs = cm.encode_dataset(test_samples, devices)
-        pred = cm.predict_batch(result.params, inputs, result.normalizer)
-        summary["test"] = cm.metrics(pred, [s.latency_s for s in test_samples])
+        _, summary["test"] = _predict_over_dataset(
+            result.params, result.normalizer, devices, test_samples)
     run.write_json("summary.json", summary)
     print(_json_text(summary))
     return EXIT_OK
@@ -396,46 +393,45 @@ def cmd_sample(args, config: RunConfig, run: RunDir) -> int:
 
 
 def _predict_over_dataset(params, normalizer, devices,
-                          samples) -> tuple[np.ndarray, np.ndarray]:
-    inputs = cm.encode_dataset(samples, devices)
-    pred = cm.predict_batch(params, inputs, normalizer)
-    actual = np.array([s.latency_s for s in samples])
-    return pred, actual
+                          samples) -> tuple[np.ndarray, dict[str, float]]:
+    """Predicted latencies of `samples` and their metrics."""
+    pred = cm.predict_batch(params, cm.encode_dataset(samples, devices),
+                            normalizer)
+    return pred, cm.metrics(pred, [s.latency_s for s in samples])
 
 
-def cmd_predict(args, config: RunConfig, run: RunDir) -> int:
-    devices = _load_devices(config)
-    params, normalizer = _load_model(config)
-    ds = load_dataset(config.require("dataset"))
-    pred, actual = _predict_over_dataset(params, normalizer, devices,
-                                         ds.samples)
-    run.write_csv("predictions.csv", ["id", "predicted_s", "actual_s"],
-                  ([s.id, repr(float(p)), repr(s.latency_s)]
-                   for s, p in zip(ds.samples, pred)))
-    result = cm.metrics(pred, actual)
-    run.write_json("metrics.json", result)
-    print(_json_text(result))
-    return EXIT_OK
-
-
-def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
+def _score_checkpoint(config: RunConfig, run: RunDir, split: str | None):
+    """Scores the checkpoint on the dataset, or on its `split` given a splits
+    file: writes and prints the metrics, returns samples and predictions."""
     devices = _load_devices(config)
     params, normalizer = _load_model(config)
     ds = load_dataset(config.require("dataset"))
     samples = ds.samples
-    if config.values.get("splits") is not None:
-        ds.splits = _load_splits(config.values["splits"])
-        samples = ds.subset(args.split)
+    if split is not None and config.splits is not None:
+        ds.splits = _load_splits(config.splits)
+        samples = ds.subset(split)
         if not samples:
-            raise TpcostError(f"split '{args.split}' is empty")
-    pred, actual = _predict_over_dataset(params, normalizer, devices, samples)
-    result = cm.metrics(pred, actual)
+            raise TpcostError(f"split '{split}' is empty")
+    pred, result = _predict_over_dataset(params, normalizer, devices, samples)
     run.write_json("metrics.json", result)
+    print(_json_text(result))
+    return samples, pred
+
+
+def cmd_predict(args, config: RunConfig, run: RunDir) -> int:
+    samples, pred = _score_checkpoint(config, run, split=None)
+    run.write_csv("predictions.csv", ["id", "predicted_s", "actual_s"],
+                  ([s.id, repr(float(p)), repr(s.latency_s)]
+                   for s, p in zip(samples, pred)))
+    return EXIT_OK
+
+
+def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
+    samples, pred = _score_checkpoint(config, run, split=args.split)
     if args.emit_plot_data:
         run.write_csv("plot_data.csv", ["id", "actual_s", "predicted_s"],
                       ([s.id, repr(s.latency_s), repr(float(p))]
                        for s, p in zip(samples, pred)))
-    print(_json_text(result))
     return EXIT_OK
 
 
@@ -448,8 +444,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
     rules = {}
     rules_path = config.values.get("rules")
     if rules_path is not None:
-        with open(rules_path, "r", encoding="utf-8") as f:
-            rules = json.load(f)
+        rules = read_json(rules_path)
         if not isinstance(rules, dict):
             raise ValidationError(
                 f"{rules_path}: rules must be a JSON object of op class to "
@@ -489,10 +484,10 @@ def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
         "batch_size": [32, 64],
         "alpha_cmd": [0.0, 0.1, 1.0],
     }
-    base = config.model_config()
+    base = replace(config.model_config(),
+                   epochs=min(config.tune_epochs, config.epochs))
     best, trials = cm.tune(space, config.budget, ds, devices,
-                           seed=config.seed, base=base,
-                           epochs_cap=config.tune_epochs)
+                           seed=config.seed, base=base)
     run.write_json("best_config.json", asdict(best))
     run.write_csv("trials.csv", ["trial", "val_mape", "config"],
                   ([trial.index, repr(trial.val_mape),

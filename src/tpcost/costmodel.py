@@ -26,6 +26,7 @@ from .errors import (CheckpointError, DimensionMismatch, EmptyBatch,
                      EmptyDataset, EmptySelection, EmptySet,
                      LeafCountExceeded, NonFiniteLoss, ValidationError)
 from .features import N_ENTRY, CompactAst, DeviceSpec, EncodedInput, encode_input
+from .ir import MAX_LEAVES_DEFAULT
 
 DEVICE_FEATURES = 6
 _CMD_SUPPORT_FLOOR = 1e-6
@@ -44,7 +45,7 @@ class CostModelConfig:
     d_embed: int = 32
     d_device: int = 16
     decoder_dims: tuple[int, ...] = (64, 64)
-    n_leaf_max: int = 16
+    n_leaf_max: int = MAX_LEAVES_DEFAULT
     lambda_hybrid: float = 1e-3
     alpha_cmd: float = 0.0
     cmd_order: int = 5
@@ -93,9 +94,8 @@ def full_reference_config() -> CostModelConfig:
     ~14M parameters, meant for big corpora)."""
     return CostModelConfig(
         d_model=716, n_layers=11, n_heads=4, d_ff=985, d_embed=69,
-        d_device=64, decoder_dims=(930, 930, 930), n_leaf_max=16,
-        lambda_hybrid=1e-3, alpha_cmd=1.0, lr=1.68e-5, weight_decay=0.0013,
-        optimizer="adam", lr_schedule="cyclic", batch_size=600)
+        d_device=64, decoder_dims=(930, 930, 930), alpha_cmd=1.0, lr=1.68e-5,
+        weight_decay=0.0013, lr_schedule="cyclic", batch_size=600)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,8 @@ def _backward_group(t: nn.FlatTensors, config: CostModelConfig,
 # Losses
 # ---------------------------------------------------------------------------
 
-def loss_pretrain(pred, y, lambda_hybrid: float = 1e-3) -> float:
+def loss_pretrain(pred, y,
+                  lambda_hybrid: float = CostModelConfig.lambda_hybrid) -> float:
     """Hybrid objective: mean squared error plus lambda * mean relative
     error, both averaged over the batch."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -429,7 +430,7 @@ def _cmd_forward_backward(zs: np.ndarray, zt: np.ndarray, k: int):
     return total, dzs, dzt
 
 
-def cmd(zs, zt, k: int = 5) -> float:
+def cmd(zs, zt, k: int = CostModelConfig.cmd_order) -> float:
     """Central moment discrepancy between two sample sets (rows = samples).
 
     Mean difference plus central moments up to order k, each column scaled
@@ -446,8 +447,10 @@ def cmd(zs, zt, k: int = 5) -> float:
     return total
 
 
-def loss_finetune(pred, y, zs, zt, lambda_hybrid: float = 1e-3,
-                  alpha_cmd: float = 1.0, k: int = 5) -> float:
+def loss_finetune(pred, y, zs, zt,
+                  lambda_hybrid: float = CostModelConfig.lambda_hybrid,
+                  alpha_cmd: float = 1.0,
+                  k: int = CostModelConfig.cmd_order) -> float:
     return loss_pretrain(pred, y, lambda_hybrid) + alpha_cmd * cmd(zs, zt, k)
 
 
@@ -637,16 +640,14 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
 
 
 def train(config: CostModelConfig, ds: Dataset,
-          devices: dict[str, DeviceSpec],
-          normalizer: BoxCoxNormalizer | None = None) -> TrainResult:
-    """Seeded minibatch training on the train split from fresh parameters.
-    Returns the parameters of the epoch with the best validation MAPE
-    (measured in the original label space), or the last ones if no epoch
-    had a finite one. There is no target pool, so `alpha_cmd` is ignored."""
+          devices: dict[str, DeviceSpec]) -> TrainResult:
+    """Seeded minibatch training on the train split, Box-Cox fitted to it,
+    from fresh parameters. Returns the parameters of the epoch with the best
+    validation MAPE (in the original label space), or the last ones if no
+    epoch had a finite one. There is no target pool: `alpha_cmd` is unused."""
     config.validate()
     train_samples, valid_samples = _train_valid(ds, "train")
-    if normalizer is None:
-        normalizer = fit_boxcox([s.latency_s for s in train_samples])
+    normalizer = fit_boxcox([s.latency_s for s in train_samples])
     return _fit(init_params(config), config, train_samples, valid_samples,
                 devices, normalizer, None, keep_best=True)
 
@@ -669,7 +670,8 @@ def finetune(params: CostModelParams, source: Dataset,
 
 
 def cmd_between(params: CostModelParams, source_inputs: list[EncodedInput],
-                target_inputs: list[EncodedInput], k: int = 5) -> float:
+                target_inputs: list[EncodedInput],
+                k: int = CostModelConfig.cmd_order) -> float:
     """CMD between the aggregated latents of two full input sets."""
     _, latents_s = forward(params, source_inputs)
     _, latents_t = forward(params, target_inputs)
@@ -719,18 +721,16 @@ def _sample_space(space: dict, rng: np.random.Generator) -> dict:
 
 
 def tune(space: dict, budget: int, ds: Dataset,
-         devices: dict[str, DeviceSpec], seed: int = 0,
-         base: CostModelConfig | None = None,
-         epochs_cap: int = 30) -> tuple[CostModelConfig, list[Trial]]:
-    """Seeded random search: samples `budget` configs from `space`, trains
-    each for at most epochs_cap epochs, returns the config with the lowest
-    validation MAPE (ties go to the earlier trial)."""
+         devices: dict[str, DeviceSpec], seed: int,
+         base: CostModelConfig) -> tuple[CostModelConfig, list[Trial]]:
+    """Seeded random search: samples `budget` configs from `space` over
+    `base`, trains each for `base.epochs` epochs, returns the config with the
+    lowest validation MAPE (ties go to the earlier trial)."""
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    base = base or desk_config()
     rng = np.random.default_rng(seed)
-    candidates = [replace(base, epochs=min(epochs_cap, base.epochs),
-                          **_sample_space(space, rng)) for _ in range(budget)]
+    candidates = [replace(base, **_sample_space(space, rng))
+                  for _ in range(budget)]
     trials = [Trial(index=i, config=config,
                     val_mape=train(config, ds, devices).best_val_mape)
               for i, config in enumerate(candidates)]

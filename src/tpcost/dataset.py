@@ -18,15 +18,16 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import (DegenerateLabels, DomainError, EmptyDataset,
-                     MissingPeakFlops, NotFitted, ValidationError)
+                     MissingPeakFlops, NotFitted, ValidationError, read_text)
 from .features import (IDX_LOG_PARALLEL_EXTENT, IDX_LOG_TOTAL_BYTES_READ,
                        IDX_LOG_TOTAL_BYTES_WRITTEN, IDX_LOG_TOTAL_FLOPS,
-                       IDX_PARALLEL_COUNT, CompactAst, DeviceSpec,
+                       IDX_PARALLEL_COUNT, N_ENTRY, CompactAst, DeviceSpec,
                        build_compact_ast)
-from .ir import (AstNode, ComputeStats, LoopInfo, ProgramAst, leaf, loop,
-                 make_program)
+from .ir import (MAX_LEAVES_DEFAULT, AstNode, ComputeStats, LoopInfo,
+                 ProgramAst, leaf, loop, make_program)
 
 SPLITS = ("train", "valid", "test", "holdout")
+SPLIT_RATIOS = (8, 1, 1)  # default train:valid:test weights
 
 # Stand-in accelerator for synthetic datasets and desk-scale experiments.
 # Balance point ~14 flops/byte so both roofline regimes occur.
@@ -178,7 +179,7 @@ def skewness(values) -> float:
 # Splitting
 # ---------------------------------------------------------------------------
 
-def split_dataset(ds: Dataset, ratios: tuple[int, int, int] = (8, 1, 1),
+def split_dataset(ds: Dataset, ratios: tuple[int, int, int] = SPLIT_RATIOS,
                   seed: int = 0,
                   holdout_models: frozenset[str] | set[str] = frozenset()
                   ) -> Dataset:
@@ -376,7 +377,7 @@ def _instantiate(template: _TaskTemplate, rng: np.random.Generator,
 
 
 def random_program(rng: np.random.Generator, name: str,
-                   max_leaves: int = 16) -> ProgramAst:
+                   max_leaves: int = MAX_LEAVES_DEFAULT) -> ProgramAst:
     """Random loop nest: a root loop over per-leaf chains, depth <= 4,
     1..min(6, max_leaves) leaves, extents in 1..512."""
     template = _random_template(rng, max_leaves)
@@ -397,14 +398,14 @@ def generate_synthetic(n: int, devices: list[DeviceSpec],
     samples: list[Sample] = []
     task_idx = 0
     while len(samples) < n:
-        template = _random_template(rng, max_leaves=16)
+        template = _random_template(rng, MAX_LEAVES_DEFAULT)
         model_id = f"m{task_idx // tasks_per_model}"
         for j in range(task_size):
             if len(samples) >= n:
                 break
             i = len(samples)
             program = _instantiate(template, rng, f"t{task_idx}_p{j}",
-                                   max_leaves=16)
+                                   MAX_LEAVES_DEFAULT)
             compact = build_compact_ast(program)
             device = devices[i % len(devices)]
             latency = synth_latency(compact, device, cfg)
@@ -459,6 +460,10 @@ def sample_from_dict(d: dict) -> Sample:
                          n_leaf=int(d["n_leaf"]))
     if compact.n_leaf != vectors.shape[0]:
         raise ValidationError("n_leaf does not match vector count")
+    if vectors.shape[1] != N_ENTRY:
+        raise ValidationError(f"vectors must have {N_ENTRY} columns")
+    if len(compact.ordering) != compact.n_leaf:
+        raise ValidationError("ordering must have n_leaf entries")
     return Sample(id=str(d["id"]), task_id=str(d["task_id"]),
                   model_id=str(d["model_id"]), device_id=str(d["device_id"]),
                   compact=compact, latency_s=float(d["latency_s"]))
@@ -473,20 +478,18 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> Dataset:
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{lineno}: bad JSON: {e}") from e
-            try:
-                samples.append(sample_from_dict(d))
-            except KeyError as e:
-                raise ValidationError(
-                    f"{path}:{lineno}: missing field {e}") from e
-            except (TypeError, ValueError) as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{path}:{lineno}: bad JSON: {e}") from e
+        try:
+            samples.append(sample_from_dict(d))
+        except KeyError as e:
+            raise ValidationError(f"{path}:{lineno}: missing field {e}") from e
+        except (TypeError, ValueError, ValidationError) as e:
+            raise ValidationError(f"{path}:{lineno}: {e}") from e
     return Dataset(samples=samples)

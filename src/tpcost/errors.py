@@ -1,6 +1,9 @@
 """Shared exception hierarchy. Every typed failure in the package derives
 from TpcostError so callers (and the CLI) can distinguish input problems
-from genuine bugs."""
+from genuine bugs. The input-file readers here raise one for a file that
+does not decode."""
+
+import json
 
 
 class TpcostError(Exception):
@@ -12,6 +15,7 @@ class ParseError(TpcostError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -86,3 +90,24 @@ class InvalidDevice(TpcostError):
 
 class CheckpointError(TpcostError):
     """Corrupt or incompatible checkpoint file."""
+
+
+def read_text(path) -> str:
+    """The text of an input file; ValidationError naming the file if it is
+    not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 text: {e.reason} at byte "
+                              f"{e.start}") from e
+
+
+def read_json(path):
+    """The JSON document of an input file; ValidationError naming the file
+    if it is not UTF-8 JSON."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}: bad JSON: {e}") from e

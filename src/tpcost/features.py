@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LeafCountExceeded, ValidationError
+from .errors import LeafCountExceeded, ValidationError, read_json
 from .ir import AstNode, ComputeStats, LoopInfo, ProgramAst
 
 N_ENTRY = 24  # computation-vector width; must stay even for the PE formulas
@@ -104,10 +104,13 @@ class DeviceSpec:
         try:
             if not isinstance(d["name"], str):
                 raise TypeError("name must be a string")
+            if type(d["cores"]) is not int:  # bool is an int subclass
+                raise TypeError(f"cores must be a JSON integer, got "
+                                f"{d['cores']!r}")
             spec = cls(name=d["name"], clock_mhz=float(d["clock_mhz"]),
                        mem_gb=float(d["mem_gb"]),
                        bandwidth_gbps=float(d["bandwidth_gbps"]),
-                       cores=int(d["cores"]),
+                       cores=d["cores"],
                        peak_fp32_gflops=float(d.get("peak_fp32_gflops", 0.0)),
                        l2_cache_mb=float(d.get("l2_cache_mb", 0.0)))
         except KeyError as e:
@@ -121,8 +124,7 @@ class DeviceSpec:
 def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
     """Load a JSON list of device specs, keyed by device name. A malformed
     file raises ValidationError naming the file and the entry index."""
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: device catalog must be a JSON list")
     catalog = {}

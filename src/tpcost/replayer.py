@@ -23,7 +23,6 @@ start still waits for max(deviceTime, readyTime).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import re
 from collections import Counter
@@ -33,7 +32,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import costmodel, features
-from .errors import CycleDetected, InvalidDevice, ValidationError
+from .errors import (CycleDetected, InvalidDevice, ParseError, TpcostError,
+                     ValidationError, read_json, read_text)
 from .features import CompactAst, build_compact_ast
 from .ir import MAX_LEAVES_DEFAULT, parse_program
 
@@ -164,21 +164,27 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     for s, t in zip(graph.src, graph.dst):  # edges into each sub-node of t
         ref[t] += width[s]
     ready_time = [0.0] * len(devices)
-    device_time = [0.0] * n_devices
+    # one slot per device that holds a (sub-)node, in ascending index order;
+    # a split node's devices d..d+k-1 are consecutive, and so are their slots
+    used = sorted({d + i for d, k in set(zip(devices, width))
+                   for i in range(k)})
+    slot = {d: s for s, d in enumerate(used)}
+    device_time = [0.0] * len(used)
     # heap entries (readyTime, id, position): ids are unique, so the
-    # position never decides the order; one heap per device
-    queues: list[list[tuple[float, str, int]]] = [[] for _ in range(n_devices)]
+    # position never decides the order; one heap per slot
+    queues: list[list[tuple[float, str, int]]] = [[] for _ in used]
 
     def release(p: int) -> None:  # every sub-node of p, with one ready time
+        base = slot[devices[p]]
         for i, sub_id in enumerate(dfg._sub_ids(p)):
-            heapq.heappush(queues[devices[p] + i], (ready_time[p], sub_id, p))
+            heapq.heappush(queues[base + i], (ready_time[p], sub_id, p))
 
     for p in [p for p, count in enumerate(ref) if count == 0]:
         release(p)
     schedule: dict[str, tuple[float, float]] = {}
     while True:
         pick = -1
-        for d in range(n_devices):  # smallest (deviceTime, index) with work
+        for d in range(len(used)):  # smallest (deviceTime, index) with work
             if queues[d] and (pick < 0 or device_time[d] < device_time[pick]):
                 pick = d
         if pick < 0:
@@ -194,8 +200,9 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
                 ready_time[child] = done
             if ref[child] == 0:
                 release(child)
-    return SimResult(iteration_time=max(device_time, default=0.0),
-                     schedule=schedule)
+    # a device that holds no node keeps its clock at 0
+    clocks = device_time + [0.0] * (len(used) < n_devices)
+    return SimResult(iteration_time=max(clocks), schedule=schedule)
 
 
 def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
@@ -254,8 +261,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     file and the node or edge index: no nodes, a missing or malformed field,
     a device that is not a JSON integer, a negative or non-finite gap_s or
     duration_s, a malformed or dangling edge, or a duplicate id."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValidationError(
@@ -303,14 +309,31 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
 def load_programs(path: str | Path,
                   max_leaves: int = MAX_LEAVES_DEFAULT) -> dict[str, CompactAst]:
     """Sidecar IR file: concatenated `program NAME { ... }` blocks. Returns
-    compact ASTs keyed by program name."""
-    text = Path(path).read_text(encoding="utf-8")
-    programs = {}
-    for chunk in _split_programs(text):
-        ast = parse_program(chunk, max_leaves=max_leaves)
-        if ast.name in programs:
-            raise ValidationError(f"duplicate program '{ast.name}'")
-        programs[ast.name] = build_compact_ast(ast)
+    compact ASTs keyed by program name. A bad block raises ValidationError
+    naming the file and a line of it: the error's own, or else the line the
+    block starts on."""
+    text = read_text(path)
+    try:
+        chunks = _split_programs(text)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    programs, start = {}, 0  # the chunks tile the text: start is an offset
+    for chunk in chunks:
+        try:
+            ast = parse_program(chunk, max_leaves=max_leaves)
+            if ast.name in programs:
+                raise ValidationError(f"duplicate program '{ast.name}'")
+            programs[ast.name] = build_compact_ast(ast)
+        except ParseError as e:
+            line = text.count("\n", 0, start) + e.line
+            col = e.col + (start - text.rfind("\n", 0, start) - 1
+                           if e.line == 1 else 0)
+            raise ValidationError(f"{path}:{line}:{col}: {e.message}") from e
+        except (TpcostError, OverflowError) as e:
+            first = start + len(chunk) - len(chunk.lstrip())
+            line = text.count("\n", 0, first) + 1
+            raise ValidationError(f"{path}:{line}: {e}") from e
+        start += len(chunk)
     return programs
 
 
@@ -345,7 +368,8 @@ def replay_model(graph_path: str | Path, programs_path: str | Path, params,
     compacts = load_programs(programs_path, max_leaves=(
         MAX_LEAVES_DEFAULT if params is None else params.config.n_leaf_max))
     if missing := set(key_to_ref.values()) - set(compacts):
-        raise ValidationError(f"program_ref '{min(missing)}' not found")
+        raise ValidationError(f"{graph_path}: program_ref '{min(missing)}' "
+                              f"not found in {programs_path}")
     programs = {key: compacts[ref] for key, ref in key_to_ref.items()}
     dedup_predict(dfg, programs, params, device, normalizer,
                   predictor=predictor)

@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from checkpoint_meta import rewrite_meta
 
-from tpcost.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, load_run_config,
-                        main)
+from tpcost.cli import (_MODEL_KEYS, _ORACLE_KEYS, _SCHEMA, EXIT_INPUT,
+                        EXIT_OK, EXIT_USAGE, load_run_config, main)
 from tpcost.costmodel import (CostModelConfig, encode_dataset, forward,
                               init_params, save_checkpoint)
-from tpcost.dataset import fit_boxcox, load_dataset
+from tpcost.dataset import SynthOracleConfig, fit_boxcox, load_dataset
 from tpcost.errors import TpcostError
 from tpcost.features import load_device_catalog
 
@@ -105,20 +106,58 @@ lr = 5e-4
 
 
 def test_model_keys_follow_cost_model_config(tmp_path):
-    defaults = load_run_config(None)
-    for f in fields(CostModelConfig):
-        assert defaults.values[f.name] == f.default, f.name
-    assert defaults.model_config() == CostModelConfig()
-    # each key parses the text of its default back to the default
-    cfg_file = tmp_path / "c.cfg"
-    cfg_file.write_text("".join(
-        f"{f.name} = "
-        f"{','.join(map(str, f.default)) if isinstance(f.default, tuple) else f.default}\n"
-        for f in fields(CostModelConfig)), encoding="utf-8")
-    parsed = load_run_config(str(cfg_file)).model_config()
-    assert parsed == CostModelConfig()
-    assert all(type(getattr(parsed, f.name)) is type(f.default)
-               for f in fields(CostModelConfig))
+    """Also the oracle's keys follow SynthOracleConfig."""
+    for cls, keys in ((CostModelConfig, _MODEL_KEYS),
+                      (SynthOracleConfig, _ORACLE_KEYS)):
+        key_of = {f.name: f.name for f in fields(cls)}
+        if cls is SynthOracleConfig:
+            key_of["seed"] = "oracle_seed"  # `seed` is the model's
+        defaults = load_run_config(None)
+        for f in fields(cls):
+            assert defaults.values[key_of[f.name]] == f.default, f.name
+        assert defaults.build(cls, keys) == cls()
+        # each key parses the text of its default back to the default
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("".join(
+            f"{key_of[f.name]} = "
+            f"{','.join(map(str, f.default)) if isinstance(f.default, tuple) else f.default}\n"
+            for f in fields(cls)), encoding="utf-8")
+        parsed = load_run_config(str(cfg_file)).build(cls, keys)
+        assert parsed == cls()
+        assert all(type(getattr(parsed, f.name)) is type(f.default)
+                   for f in fields(cls))
+
+
+# every key's default, and what its parser makes of the text "1": a change
+# here changes the command line
+KEY_DEFAULTS = {
+    **dict.fromkeys(["dataset", "target_dataset", "devices", "splits",
+                     "checkpoint", "graph", "programs", "rules", "device"],
+                    (None, "1")),
+    "n": (1000, 1), "flops_efficiency": (0.6, 1.0),
+    "mem_efficiency": (0.7, 1.0), "per_leaf_overhead_s": (2e-06, 1.0),
+    "noise_sigma": (0.0, 1.0), "oracle_seed": (0, 1),
+    "split_seed": (0, 1), "holdout_models": ((), ("1",)),
+    "ratio_train": (8, 1), "ratio_valid": (1, 1), "ratio_test": (1, 1),
+    "kappa": (4, 1), "budget": (8, 1), "tune_epochs": (10, 1),
+    "d_model": (64, 1), "n_layers": (2, 1), "n_heads": (2, 1),
+    "d_ff": (128, 1), "d_embed": (32, 1), "d_device": (16, 1),
+    "decoder_dims": ((64, 64), (1,)), "n_leaf_max": (16, 1),
+    "lambda_hybrid": (0.001, 1.0), "alpha_cmd": (0.0, 1.0),
+    "cmd_order": (5, 1), "lr": (0.001, 1.0), "weight_decay": (0.0, 1.0),
+    "optimizer": ("adam", "1"), "lr_schedule": ("constant", "1"),
+    "batch_size": (64, 1), "epochs": (300, 1), "seed": (0, 1),
+    "loss_mode": ("hybrid", "1"),
+}
+
+
+def test_config_key_defaults_are_pinned():
+    defaults = load_run_config(None).values
+    assert set(defaults) == set(KEY_DEFAULTS)
+    for key, (default, one) in KEY_DEFAULTS.items():
+        # repr tells 0 from 0.0 and (1,) from ('1',)
+        assert repr(defaults[key]) == repr(default), key
+        assert repr(_SCHEMA[key][0]("1")) == repr(one), key
 
 
 def test_extract_happy_and_partial_failure(tmp_path, capsys):
@@ -462,6 +501,11 @@ def test_bad_splits_file_is_input_error(workdir, tmp_path, capsys, splits,
      "clock_mhz"),
     ([{"name": "d", "clock_mhz": "x", "mem_gb": 1, "bandwidth_gbps": 1,
        "cores": 1}], "entry 0"),
+    # a core count that is not a JSON integer, after a valid entry
+    *(([{"name": name, "clock_mhz": 1, "mem_gb": 1, "bandwidth_gbps": 1,
+         "cores": cores, "peak_fp32_gflops": 1} for name, cores
+        in (("d", 16), ("e", bad))], "entry 1: cores")
+      for bad in (16.9, True, "16")),
 ])
 def test_bad_device_catalog_is_input_error(workdir, tmp_path, capsys,
                                            catalog, message):
@@ -558,6 +602,101 @@ def test_fuzzed_inputs_exit_0_or_2(workdir, fuzz_inputs, data):
                      command])
     assert code in (EXIT_OK, EXIT_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(workdir, tmp_path_factory):
+    """Valid input files (a 12-sample dataset, its splits, a graph and its
+    programs) and, for each of replay, predict and eval, the values of a
+    valid run config by key."""
+    root = tmp_path_factory.mktemp("fuzz_runs")
+    lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
+    files = {"dataset": root / "dataset.jsonl", "graph": root / "graph.json",
+             "programs": root / "programs.ir", "splits": root / "splits.json",
+             "devices": workdir / "synth" / "devices.json",
+             "checkpoint": workdir / "train" / "checkpoint.npz"}
+    files["dataset"].write_text("\n".join(lines[:12]) + "\n",
+                                encoding="utf-8")
+    files["graph"].write_text(json.dumps(GRAPH), encoding="utf-8")
+    files["programs"].write_text(IR_OK, encoding="utf-8")
+    files["splits"].write_text(json.dumps(  # eval scores every sample
+        {json.loads(line)["id"]: "test" for line in lines[:12]}),
+        encoding="utf-8")
+    shared = {"devices": files["devices"], "checkpoint": files["checkpoint"]}
+    configs = {
+        "replay": {**shared, "graph": files["graph"],
+                   "programs": files["programs"], "device": "synth0"},
+        "predict": {**shared, "dataset": files["dataset"]},
+        "eval": {**shared, "dataset": files["dataset"],
+                 "splits": files["splits"]},
+    }
+    return root, files, lines[:12], configs
+
+
+CONFIG_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="#",
+                                    exclude_categories=("Cc", "Zl", "Zp")),
+                      max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_run_inputs_exit_0_or_2_and_write_json(fuzz_runs, data):
+    """One value of a run config, or one JSON value of a graph file or a
+    dataset line, replaced: replay, predict and eval exit 0 or 2 without a
+    traceback, and write only strict JSON. Rules files are left out: a
+    large core count is real work, not a fault."""
+    root, files, lines, configs = fuzz_runs
+    which = data.draw(st.sampled_from(["config", "graph", "dataset"]))
+    command = "replay" if which == "graph" else data.draw(
+        st.sampled_from(["predict", "eval"] if which == "dataset"
+                        else sorted(configs)))
+    config = dict(configs[command])
+    graph, dataset = GRAPH, lines
+    if which == "config":
+        key = data.draw(st.sampled_from(sorted(config)))
+        config[key] = data.draw(CONFIG_TEXT | st.sampled_from(
+            sorted(map(str, files.values()))))
+    else:
+        doc = copy.deepcopy(GRAPH)
+        if which == "dataset":
+            n = data.draw(st.integers(0, len(lines) - 1))
+            doc = json.loads(lines[n])
+        # as often a field as a node, an edge or a vector row, and as often
+        # as one of their elements
+        depth = data.draw(st.integers(1, 3))
+        path = data.draw(st.sampled_from(
+            [path for path in _json_paths(doc) if len(path) == depth]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        # any value, or a list one element shorter or longer
+        parent[path[-1]] = data.draw(JSON_VALUES | st.sampled_from(
+            [old[:-1], old + old[-1:]] if isinstance(old, list) else [old]))
+        if which == "graph":
+            graph = doc
+        else:
+            dataset = [*lines[:n], json.dumps(doc), *lines[n + 1:]]
+    (root / "graph.fuzz.json").write_text(json.dumps(graph), encoding="utf-8")
+    (root / "dataset.fuzz.jsonl").write_text("\n".join(dataset) + "\n",
+                                             encoding="utf-8")
+    for key, name in (("graph", "graph.fuzz.json"),
+                      ("dataset", "dataset.fuzz.jsonl")):
+        if config.get(key) == files[key]:
+            config[key] = root / name
+    cfg = root / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
+                   encoding="utf-8")
+    out = root / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    err, stdout = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(stdout):
+        code = main(["--config", str(cfg), "--out", str(out), command])
+    assert code in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    for text in stdout.getvalue().splitlines() + [
+            p.read_text(encoding="utf-8") for p in out.glob("*.json")]:
+        json.loads(text, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +806,31 @@ def test_malformed_graph_edge_or_device_is_input_error(workdir, tmp_path,
                  f"checkpoint = {workdir}/train/checkpoint.npz\n"
                  f"graph = {path}\nprograms = {programs}\ndevice = synth0\n",
                  str(path), *names)
+
+
+GOOD_BLOCK = ("program {} {{\n  for i in 0..4 {{ compute c {{ fma=1 "
+              "bytes_read=8 }} }}\n}}\n")
+
+
+@pytest.mark.parametrize("text, names", [
+    # 50 three-line blocks, then a bad extent on line 153 of 154
+    ("".join(GOOD_BLOCK.format(f"p{i}") for i in range(50))
+     + "program last {\n# a comment\n  for j in 0..x { compute c { fma=1 } }"
+     "\n}\n", [":153:15: expected"]),
+    (GOOD_BLOCK.format("demo") + GOOD_BLOCK.format("demo"),
+     [":4: duplicate program 'demo'"]),
+], ids=["bad-extent", "duplicate"])
+def test_bad_sidecar_program_names_file_and_line(workdir, tmp_path, capsys,
+                                                 text, names):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(text, encoding="utf-8")
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(GRAPH), encoding="utf-8")
+    _input_error(tmp_path, capsys, "replay",
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {workdir}/train/checkpoint.npz\n"
+                 f"graph = {graph}\nprograms = {programs}\ndevice = synth0\n",
+                 *(f"{programs}{name}" for name in names))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -464,13 +464,10 @@ def test_tune_budget_one_and_determinism():
              "n_layers": [1]}
     base = cm.desk_config(epochs=2, batch_size=16, d_ff=16, d_embed=8,
                           n_heads=2)
-    best1, trials1 = cm.tune(space, 1, ds, DEVICES, seed=5, base=base,
-                             epochs_cap=2)
+    best1, trials1 = cm.tune(space, 1, ds, DEVICES, seed=5, base=base)
     assert len(trials1) == 1 and best1 == trials1[0].config
-    best2, trials2 = cm.tune(space, 3, ds, DEVICES, seed=5, base=base,
-                             epochs_cap=2)
-    best3, trials3 = cm.tune(space, 3, ds, DEVICES, seed=5, base=base,
-                             epochs_cap=2)
+    best2, trials2 = cm.tune(space, 3, ds, DEVICES, seed=5, base=base)
+    best3, trials3 = cm.tune(space, 3, ds, DEVICES, seed=5, base=base)
     assert [t.config for t in trials2] == [t.config for t in trials3]
     assert min(t.val_mape for t in trials2) == \
         next(t.val_mape for t in trials2 if t.config == best2)

@@ -661,3 +661,28 @@ def test_replay_model_chain_with_injected_oracle(tmp_path):
     result2 = replay_model(graph, programs, None, None, None, rules={},
                            predictor=doubled)
     assert result2.iteration_time == pytest.approx(0.012, rel=1e-12)
+
+
+def test_replay_cost_follows_used_devices_not_the_largest_index(tmp_path):
+    """Nodes moved from devices 1.. to 2,000,000.. replay with the same
+    schedule: only devices that hold a (sub-)node get a clock and a queue."""
+    programs = tmp_path / "programs.ir"
+    programs.write_text(PROGRAMS_TEXT, encoding="utf-8")
+    results = []
+    for far in (1, 2_000_000):
+        graph = tmp_path / f"g{far}.json"
+        _write_graph(graph,
+                     [{"id": "a", "tir_key": "x", "program_ref": "small"},
+                      {"id": "b", "tir_key": "conv:y", "program_ref": "wide",
+                       "device": far, "gap_s": 0.5},
+                      {"id": "c", "tir_key": "x", "program_ref": "small",
+                       "device": far + 1},
+                      {"id": "d", "tir_key": "z", "program_ref": "wide"}],
+                     [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]])
+        results.append(replay_model(
+            graph, programs, None, None, None, rules={"conv": 2},
+            predictor=lambda compact, device: float(compact.n_leaf)))
+    near, far = results
+    assert len(near.schedule) == 5  # b split over two devices
+    assert far.schedule == near.schedule
+    assert far.iteration_time == near.iteration_time
