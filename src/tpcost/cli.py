@@ -257,8 +257,18 @@ def _ratio_split(ds: dsmod.Dataset, config: RunConfig) -> dsmod.Dataset:
                          holdout_models=set(config.holdout_models))
 
 
-def _load_split_dataset(config: RunConfig) -> dsmod.Dataset:
-    ds = load_dataset(config.require("dataset"))
+def _load_dataset_for(path: str, devices: dict) -> dsmod.Dataset:
+    """A dataset whose samples all run on a device of the catalog."""
+    ds = load_dataset(path)
+    for s in ds.samples:
+        if s.device_id not in devices:
+            raise ValidationError(f"{path}: sample '{s.id}': unknown device "
+                                  f"'{s.device_id}'")
+    return ds
+
+
+def _load_split_dataset(config: RunConfig, devices: dict) -> dsmod.Dataset:
+    ds = _load_dataset_for(config.require("dataset"), devices)
     if config.splits is None:
         return _ratio_split(ds, config)
     ds.splits = _load_splits(config.splits)
@@ -327,7 +337,7 @@ def cmd_dataset_split(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_train(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    ds = _load_split_dataset(config)
+    ds = _load_split_dataset(config, devices)
     model_config = config.model_config()
     result = cm.train(model_config, ds, devices)
     cm.save_checkpoint(run.file("checkpoint.npz"), result.params,
@@ -349,8 +359,8 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
 def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
     params, normalizer = _load_model(config)
-    source = _load_split_dataset(config)
-    target = load_dataset(config.require("target_dataset"))
+    source = _load_split_dataset(config, devices)
+    target = _load_dataset_for(config.require("target_dataset"), devices)
     target_inputs = cm.encode_dataset(target.samples, devices)
     model_config = config.model_config()
     source_train_inputs = cm.encode_dataset(source.subset("train"), devices)
@@ -405,7 +415,7 @@ def _score_checkpoint(config: RunConfig, run: RunDir, split: str | None):
     file: writes and prints the metrics, returns samples and predictions."""
     devices = _load_devices(config)
     params, normalizer = _load_model(config)
-    ds = load_dataset(config.require("dataset"))
+    ds = _load_dataset_for(config.require("dataset"), devices)
     samples = ds.samples
     if split is not None and config.splits is not None:
         ds.splits = _load_splits(config.splits)
@@ -472,7 +482,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    ds = _load_split_dataset(config)
+    ds = _load_split_dataset(config, devices)
     space = {
         "n_layers": [1, 2],
         "d_model": [32, 64],

@@ -450,14 +450,35 @@ def sample_to_line(s: Sample) -> str:
             "}")
 
 
+def _json_ints(d: dict, key: str) -> tuple[int, ...]:
+    values = d[key]
+    # as for latency_s; int() would also truncate 3.5
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValidationError(f"{key} must be a list of JSON integers")
+    return tuple(values)
+
+
+def _latency(value) -> float:
+    # bool is an int subclass; a string such as "1e-3" is not a number
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ValidationError(
+            f"latency_s must be a finite JSON number > 0, got {value!r}")
+    return float(value)
+
+
 def sample_from_dict(d: dict) -> Sample:
+    """A sample from a parsed dataset line. `latency_s` must be a finite JSON
+    number > 0 (`_fmt` writes 1.0 as 1), `n_leaf` and the `ordering` and
+    `serialized` entries JSON integers; bools and strings are rejected."""
     vectors = np.asarray(d["vectors"], dtype=np.float64)
     if vectors.ndim != 2:
         raise ValidationError("vectors must be a 2-D array")
-    compact = CompactAst(leaf_vectors=vectors,
-                         ordering=tuple(int(i) for i in d["ordering"]),
-                         serialized=tuple(int(i) for i in d["serialized"]),
-                         n_leaf=int(d["n_leaf"]))
+    ordering, serialized = _json_ints(d, "ordering"), _json_ints(d, "serialized")
+    if type(d["n_leaf"]) is not int:
+        raise ValidationError(
+            f"n_leaf must be a JSON integer, got {d['n_leaf']!r}")
+    compact = CompactAst(leaf_vectors=vectors, ordering=ordering,
+                         serialized=serialized, n_leaf=d["n_leaf"])
     if compact.n_leaf != vectors.shape[0]:
         raise ValidationError("n_leaf does not match vector count")
     if vectors.shape[1] != N_ENTRY:
@@ -466,7 +487,7 @@ def sample_from_dict(d: dict) -> Sample:
         raise ValidationError("ordering must have n_leaf entries")
     return Sample(id=str(d["id"]), task_id=str(d["task_id"]),
                   model_id=str(d["model_id"]), device_id=str(d["device_id"]),
-                  compact=compact, latency_s=float(d["latency_s"]))
+                  compact=compact, latency_s=_latency(d["latency_s"]))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
@@ -490,6 +511,6 @@ def load_dataset(path: str | Path) -> Dataset:
             samples.append(sample_from_dict(d))
         except KeyError as e:
             raise ValidationError(f"{path}:{lineno}: missing field {e}") from e
-        except (TypeError, ValueError, ValidationError) as e:
+        except (TypeError, ValueError, OverflowError, ValidationError) as e:
             raise ValidationError(f"{path}:{lineno}: {e}") from e
     return Dataset(samples=samples)

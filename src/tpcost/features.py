@@ -178,39 +178,33 @@ def _log_extent_product(loops: list[LoopInfo]) -> tuple[float, int]:
 def compute_vector(leaf: ComputeStats, enclosing: list[LoopInfo],
                    leaf_index: int, n_leaf: int) -> np.ndarray:
     """Fill the 24-entry schema for one leaf under its enclosing loops
-    (outermost first)."""
-    v = np.zeros(N_ENTRY, dtype=np.float64)
+    (outermost first), as Python floats made into one array at the end."""
     log_prod, iters = _log_extent_product(enclosing)
     if enclosing:
-        v[0] = len(enclosing)
-        v[1] = log_prod
-        v[2] = log2(1 + enclosing[-1].extent)
-        v[3] = log2(1 + enclosing[0].extent)
+        v = [float(len(enclosing)), log_prod, log2(1 + enclosing[-1].extent),
+             log2(1 + enclosing[0].extent)]
     else:
+        v = [0.0, 0.0, 0.0, 0.0]
         iters = 1  # a loop-free leaf body executes once
-    for offset, annot in enumerate(("vectorize", "unroll", "parallel")):
-        tagged = [lp for lp in enclosing if annot in lp.annotations]
-        v[4 + offset] = len(tagged)
-        v[7 + offset], _ = _log_extent_product(tagged)
+    tagged = [[lp for lp in enclosing if annot in lp.annotations]
+              for annot in ("vectorize", "unroll", "parallel")]
+    v += [float(len(loops)) for loops in tagged]
+    v += [_log_extent_product(loops)[0] for loops in tagged]
     per_iter_flops = (2 * leaf.fma_count + leaf.add_count + leaf.mul_count
                       + leaf.div_count + leaf.special_count)
-    for offset, count in enumerate((leaf.fma_count, leaf.add_count,
-                                    leaf.mul_count, leaf.div_count,
-                                    leaf.special_count)):
-        v[10 + offset] = log2(1 + count)
+    v += [log2(1 + count) for count in (leaf.fma_count, leaf.add_count,
+                                        leaf.mul_count, leaf.div_count,
+                                        leaf.special_count)]
     total_flops = per_iter_flops * iters
     total_read = leaf.bytes_read * iters
     total_written = leaf.bytes_written * iters
-    v[15] = log2(1 + total_flops)
-    v[16] = log2(1 + leaf.bytes_read)
-    v[17] = log2(1 + leaf.bytes_written)
-    v[18] = log2(1 + total_read)
-    v[19] = log2(1 + total_written)
-    v[20] = leaf.buffers_read
-    v[21] = leaf.buffers_written
-    v[22] = total_flops / (total_read + total_written + 1)
-    v[23] = leaf_index / n_leaf
-    return v
+    v += [log2(1 + total_flops), log2(1 + leaf.bytes_read),
+          log2(1 + leaf.bytes_written), log2(1 + total_read),
+          log2(1 + total_written), float(leaf.buffers_read),
+          float(leaf.buffers_written),
+          total_flops / (total_read + total_written + 1),
+          leaf_index / n_leaf]
+    return np.array(v, dtype=np.float64)
 
 
 def build_compact_ast(ast: ProgramAst,

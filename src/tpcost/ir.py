@@ -22,13 +22,21 @@ buffers_read, buffers_written}. Loop bounds are always `0..extent` with
 extent >= 1. Conditionals are not supported.
 
 Parsing is pure and deterministic; trees are immutable after construction.
+`parse_program` checks a text in one pass: the tokenizer (plain
+(kind, text, line, col) tuples) raises ParseError for a bad character or
+annotation, and the parser, walking the token list by index, raises
+ParseError for bad syntax or an integer that `int()` rejects and
+ValidationError for an invalid value (extent < 1, a duplicate annotation or
+key, an empty body, a compute leaf without work). It counts leaves and loop
+depth as it goes, so the tree is not walked again: then come the
+multi-statement nesting limit and the leaf budget. `make_program` validates
+a tree built by hand with the same rules.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -168,63 +176,59 @@ def count_leaves(ast: ProgramAst) -> int:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str  # ident | int | punct | annot | eof
-    text: str
-    line: int
-    col: int
-
-
-# One alternative per lexeme, the common ones first. Every character but
-# " \t\r" starts a match (`other` catches the rest), so `finditer` skips
-# exactly the blanks between tokens. `\w` matches the characters for which
-# `str.isalnum()` holds, plus "_", but `\d` only decimal digits, a subset of
-# `str.isdigit()`: a run of word characters that is not a plain ASCII-led
-# identifier or a decimal number on its own goes to `word`, which splits it
-# by `isdigit` and `isalpha`.
+# One alternative per lexeme, the common ones first, after the blanks that
+# lead up to it. Every character but " \t\r" starts a lexeme (`other` catches
+# the rest), so the matches skip exactly the blanks between tokens. `\w`
+# matches the characters for which `str.isalnum()` holds, plus "_", but `\d`
+# only decimal digits, a subset of `str.isdigit()`: a run of word characters
+# that is not a plain ASCII-led identifier or a decimal number on its own goes
+# to `word`, which splits it by `isdigit` and `isalpha`.
 _LEXEME = re.compile(
-    r"(?P<ident>[A-Za-z_]\w*)|(?P<punct>\.\.|[{}=])|(?P<int>\d+(?!\w))"
-    r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<annot>@\w*)|(?P<word>\w+)"
-    r"|(?P<other>[^ \t\r])")
+    r"[ \t\r]*(?:(?P<ident>[A-Za-z_]\w*)|(?P<punct>\.\.|[{}=])"
+    r"|(?P<int>\d+(?!\w))|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"|(?P<annot>@\w*)|(?P<word>\w+)|(?P<other>[^ \t\r]))")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) tuples, kind one of ident, int, punct, annot
+    and eof; the eof token ends the list."""
+    tokens = []
+    append = tokens.append
     line, line_start = 1, 0
     end = len(text)  # where the last line ends for the eof column
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
-        col = m.start() - line_start + 1
         if kind == "ident" or kind == "punct" or kind == "int":
-            tokens.append(_Token(kind, m.group(), line, col))
+            append((kind, m[kind], line, m.start(kind) - line_start + 1))
         elif kind == "newline":
             line += 1
             line_start = m.end()
             end = len(text)
         elif kind == "comment":  # a comment does not advance the column
-            end = m.start()
-        elif kind == "annot":
-            word = m.group()[1:]
-            if word not in ANNOTATIONS:
-                raise ParseError(f"unknown annotation '@{word}'", line, col)
-            tokens.append(_Token("annot", word, line, col))
-        elif kind == "word":
-            # an int of any digits (such as "²"), then an identifier
-            word, k = m.group(), 0
-            while k < len(word) and word[k].isdigit():
-                k += 1
-            if k:
-                tokens.append(_Token("int", word[:k], line, col))
-            if k < len(word):
-                if not (word[k].isalpha() or word[k] == "_"):
-                    raise ParseError(f"unexpected character {word[k]!r}",
-                                     line, col + k)
-                tokens.append(_Token("ident", word[k:], line, col + k))
+            end = m.start(kind)
         else:
-            ch = m.group()
-            msg = "expected '..'" if ch == "." else f"unexpected character {ch!r}"
-            raise ParseError(msg, line, col)
-    tokens.append(_Token("eof", "", line, end - line_start + 1))
+            word, col = m[kind], m.start(kind) - line_start + 1
+            if kind == "annot":
+                if word[1:] not in ANNOTATIONS:
+                    raise ParseError(f"unknown annotation '{word}'", line, col)
+                append(("annot", word[1:], line, col))
+            elif kind == "word":
+                # an int of any digits (such as "²"), then an identifier
+                k = 0
+                while k < len(word) and word[k].isdigit():
+                    k += 1
+                if k:
+                    append(("int", word[:k], line, col))
+                if k < len(word):
+                    if not (word[k].isalpha() or word[k] == "_"):
+                        raise ParseError(f"unexpected character {word[k]!r}",
+                                         line, col + k)
+                    append(("ident", word[k:], line, col + k))
+            else:
+                msg = ("expected '..'" if word == "."
+                       else f"unexpected character {word!r}")
+                raise ParseError(msg, line, col)
+    append(("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -233,108 +237,138 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Reads the token list by index: `pos` is the next token. The eof token
+    matches no check, so no check reads past it. Keyword and punctuation
+    texts belong to one token kind each, so a check for one compares the
+    text alone. Counts leaves and records the deepest loop as it goes."""
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.n_leaf = 0
+        self.deepest = -1  # nesting depth of the deepest loop
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {want!r}, got {got!r}", tok.line, tok.col)
-        return self.next()
-
-    def expect_int(self) -> int:
-        tok = self.expect("int")
-        try:
-            return int(tok.text)
-        except ValueError:  # non-decimal digits such as "²", or too many digits
-            raise ParseError(f"invalid integer {tok.text!r}",
-                             tok.line, tok.col) from None
+    def expected(self, want: str, pos: int) -> ParseError:
+        kind, text, line, col = self.tokens[pos]
+        got = text if kind != "eof" else "end of input"
+        return ParseError(f"expected {want!r}, got {got!r}", line, col)
 
     def parse_program(self) -> tuple[str, list[AstNode]]:
-        self.expect("ident", "program")
-        name = self.expect("ident").text
-        self.expect("punct", "{")
+        tokens = self.tokens
+        if tokens[0][1] != "program":
+            raise self.expected("program", 0)
+        kind, name, _, _ = tokens[1]
+        if kind != "ident":
+            raise self.expected("ident", 1)
+        if tokens[2][1] != "{":
+            raise self.expected("{", 2)
+        self.pos = 3
         stmts = self.parse_stmts(0)
-        self.expect("punct", "}")
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        pos = self.pos
+        if tokens[pos][1] != "}":
+            raise self.expected("}", pos)
+        kind, text, line, col = tokens[pos + 1]
+        if kind != "eof":
+            raise ParseError(f"trailing input {text!r}", line, col)
         return name, stmts
 
     def parse_stmts(self, depth: int) -> list[AstNode]:
         stmts = []
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text == "for":
+            text = tokens[self.pos][1]
+            if text == "for":
                 stmts.append(self.parse_loop(depth))
-            elif tok.kind == "ident" and tok.text == "compute":
+            elif text == "compute":
                 stmts.append(self.parse_compute())
             else:
                 return stmts
 
     def parse_loop(self, depth: int) -> AstNode:
+        tokens, pos = self.tokens, self.pos  # tokens[pos] is `for`
         if depth >= _MAX_NEST_DEPTH:
-            tok = self.peek()
-            raise ParseError(f"nesting deeper than {_MAX_NEST_DEPTH}", tok.line, tok.col)
-        self.expect("ident", "for")
-        var = self.expect("ident").text
-        self.expect("ident", "in")
-        lo_tok = self.expect("int")
-        if lo_tok.text != "0":
-            raise ParseError("loop lower bound must be 0", lo_tok.line, lo_tok.col)
-        self.expect("punct", "..")
-        extent = self.expect_int()
+            _, _, line, col = tokens[pos]
+            raise ParseError(f"nesting deeper than {_MAX_NEST_DEPTH}", line, col)
+        kind, var, _, _ = tokens[pos + 1]
+        if kind != "ident":
+            raise self.expected("ident", pos + 1)
+        if tokens[pos + 2][1] != "in":
+            raise self.expected("in", pos + 2)
+        kind, lower, line, col = tokens[pos + 3]
+        if kind != "int":
+            raise self.expected("int", pos + 3)
+        if lower != "0":
+            raise ParseError("loop lower bound must be 0", line, col)
+        if tokens[pos + 4][1] != "..":
+            raise self.expected("..", pos + 4)
+        kind, text, line, col = tokens[pos + 5]
+        if kind != "int":
+            raise self.expected("int", pos + 5)
+        try:
+            extent = int(text)
+        except ValueError:  # non-decimal digits such as "²", or too many digits
+            raise ParseError(f"invalid integer {text!r}", line, col) from None
         if extent < 1:
             raise ValidationError(f"loop '{var}': extent must be >= 1, got {extent}")
+        pos += 6
         annots: list[str] = []
-        while self.peek().kind == "annot":
-            tok = self.next()
-            if tok.text in annots:
-                raise ValidationError(f"duplicate annotation '@{tok.text}'")
-            annots.append(tok.text)
-        self.expect("punct", "{")
+        while tokens[pos][0] == "annot":
+            word = tokens[pos][1]
+            if word in annots:
+                raise ValidationError(f"duplicate annotation '@{word}'")
+            annots.append(word)
+            pos += 1
+        if tokens[pos][1] != "{":
+            raise self.expected("{", pos)
+        self.pos = pos + 1
         body = self.parse_stmts(depth + 1)
-        close = self.expect("punct", "}")
+        pos = self.pos
+        if tokens[pos][1] != "}":
+            raise self.expected("}", pos)
+        self.pos = pos + 1
         if not body:
             raise ValidationError(
-                f"loop '{var}' near line {close.line} has an empty body")
+                f"loop '{var}' near line {tokens[pos][2]} has an empty body")
+        self.deepest = max(self.deepest, depth)
         info = LoopInfo(var_name=var, extent=extent, annotations=frozenset(annots))
         return loop(info, body)
 
     def parse_compute(self) -> AstNode:
-        self.expect("ident", "compute")
-        name = self.expect("ident").text
-        self.expect("punct", "{")
+        tokens, pos = self.tokens, self.pos  # tokens[pos] is `compute`
+        kind, name, _, _ = tokens[pos + 1]
+        if kind != "ident":
+            raise self.expected("ident", pos + 1)
+        if tokens[pos + 2][1] != "{":
+            raise self.expected("{", pos + 2)
+        pos += 3
         fields: dict[str, int] = {}
-        while self.peek().kind == "ident":
-            key_tok = self.next()
-            if key_tok.text not in _STAT_KEYS:
-                raise ParseError(f"unknown stat key '{key_tok.text}'",
-                                 key_tok.line, key_tok.col)
-            field_name = _STAT_KEYS[key_tok.text]
+        while tokens[pos][0] == "ident":
+            _, key, line, col = tokens[pos]
+            if key not in _STAT_KEYS:
+                raise ParseError(f"unknown stat key '{key}'", line, col)
+            field_name = _STAT_KEYS[key]
             if field_name in fields:
-                raise ValidationError(
-                    f"compute '{name}': duplicate key '{key_tok.text}'")
-            self.expect("punct", "=")
-            fields[field_name] = self.expect_int()
+                raise ValidationError(f"compute '{name}': duplicate key '{key}'")
+            if tokens[pos + 1][1] != "=":
+                raise self.expected("=", pos + 1)
+            kind, text, line, col = tokens[pos + 2]
+            if kind != "int":
+                raise self.expected("int", pos + 2)
+            try:
+                fields[field_name] = int(text)
+            except ValueError:  # as for a loop extent
+                raise ParseError(f"invalid integer {text!r}", line, col) from None
+            pos += 3
         if not fields:
-            tok = self.peek()
+            _, _, line, col = tokens[pos]
             raise ParseError("compute block needs at least one key=value",
-                             tok.line, tok.col)
-        self.expect("punct", "}")
+                             line, col)
+        if tokens[pos][1] != "}":
+            raise self.expected("}", pos)
+        self.pos = pos + 1
         stats = ComputeStats(**fields)
         stats.validate()
+        self.n_leaf += 1
         return leaf(name, stats)
 
 
@@ -345,16 +379,23 @@ def parse_program(text: str, max_leaves: int = MAX_LEAVES_DEFAULT) -> ProgramAst
     grammatical-but-invalid programs (extent < 1, empty body, too many
     leaves). Never raises anything else, for any input string.
     """
-    name, stmts = _Parser(_tokenize(text)).parse_program()
+    parser = _Parser(_tokenize(text))
+    name, stmts = parser.parse_program()
     if not stmts:
         raise ValidationError(f"program '{name}' has no statements")
     if len(stmts) == 1:
         root = stmts[0]
     else:
         # Multiple top-level statements share an implicit extent-1 loop so the
-        # tree has a single root.
+        # tree has a single root. It puts them one level deeper: the leaves
+        # of a 64-deep nest would lie past the limit `make_program` enforces.
+        if parser.deepest + 2 > _MAX_NEST_DEPTH:
+            raise ValidationError(f"nesting deeper than {_MAX_NEST_DEPTH}")
         root = loop(LoopInfo(var_name="_root", extent=1), stmts)
-    return make_program(name, root, max_leaves=max_leaves)
+    if parser.n_leaf > max_leaves:
+        raise ValidationError(
+            f"program has {parser.n_leaf} leaves, maximum is {max_leaves}")
+    return ProgramAst(root=root, name=name, n_leaf=parser.n_leaf)
 
 
 # ---------------------------------------------------------------------------

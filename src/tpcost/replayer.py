@@ -2,16 +2,18 @@
 optionally split multi-core operators into parallel sub-nodes, and simulate
 the dataflow graph with one ready-queue per device.
 
-A `Dfg` holds parallel columns over node positions (ids, tir keys, durations,
-gaps, devices, widths); its edges are resolved once into CSR successor
-offsets. An expansion keeps a node split k ways as one position of width k
-(sub-nodes `id#0` .. `id#k-1`) and reuses that index, so `simulate`, with one
-ready time and reference count per position, does O(N*k + E*k) work for N
-nodes and E edges, not O(E*k^2). `Dfg.nodes` and `.edges` are built on read.
+The load path checks each input once; every error names the file. In one
+pass, `load_graph` checks each node and program_ref as it fills the columns,
+then each edge's shape; `Dfg.validate` resolves the edges to positions
+(duplicate id, unknown end), builds the CSR successor index by counting and
+rejects a cycle. `load_programs` splits the sidecar IR into blocks, checked
+in one tree walk by `parse_program` (syntax, values, nesting, leaf count)
+and then by `build_compact_ast` (extent products).
 
-`dedup_predict` runs the cost model once, as one batch over the distinct
-kernels; its durations match per-kernel `costmodel.predict` calls within
-1e-12 relative, not bit for bit (a batched matmul may sum in another order).
+A `Dfg` holds columns over node positions; a node split k ways stays one
+position of width k (sub-nodes `id#0` .. `id#k-1`) that shares the index,
+so `simulate` does O(N*k + E*k) work for N nodes and E edges. Batched
+`dedup_predict` durations match `costmodel.predict` within 1e-12 relative.
 
 Scheduling policy: devices are scanned in ascending (deviceTime, index)
 order and the first one with a non-empty queue dispatches next; within a
@@ -22,11 +24,10 @@ start still waits for max(deviceTime, readyTime).
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -62,8 +63,7 @@ class _Index(NamedTuple):
 
 
 class Dfg:
-    """Columns over node positions, built from DfgNodes and (src, dst) id
-    pairs. The index is built on first use: `validate` reports a bad graph."""
+    """Columns over node positions, from DfgNodes and (src, dst) id pairs."""
 
     def __init__(self, nodes: Sequence[DfgNode] = (),
                  edges: Iterable[tuple[str, str]] = ()) -> None:
@@ -88,16 +88,22 @@ class Dfg:
         if len(position) != len(ids):
             p = next(p for p, i in enumerate(ids) if position[i] != p)
             raise ValidationError(f"duplicate node ids: '{ids[p]}' (node {p})")
-        src = [position.get(a, -1) for a, _ in pairs]
-        dst = [position.get(b, -1) for _, b in pairs]
+        src = [position.get(str(a), -1) for a, _ in pairs]
+        dst = [position.get(str(b), -1) for _, b in pairs]
         if -1 in src or -1 in dst:
             e = next(e for e, ends in enumerate(zip(src, dst)) if -1 in ends)
-            raise ValidationError(f"edge {e} {pairs[e]}: unknown node")
-        out_count, in_count = Counter(src), Counter(dst)
-        start = [0, *accumulate(out_count[p] for p in range(len(ids)))]
-        deg = [in_count[p] for p in range(len(ids))]
-        # a stable sort keeps each node's successors in input order
-        succ = [dst[e] for e in sorted(range(len(src)), key=src.__getitem__)]
+            raise ValidationError(
+                f"edge {e} {tuple(map(str, pairs[e]))}: unknown node")
+        # a counting sort by source keeps each node's successors in order
+        start, deg = [0] * (len(ids) + 1), [0] * len(ids)
+        for s, t in zip(src, dst):
+            start[s + 1] += 1
+            deg[t] += 1
+        start = list(accumulate(start))
+        succ, fill = [0] * len(src), start[:-1]
+        for s, t in zip(src, dst):
+            succ[fill[s]] = t
+            fill[s] += 1
         order = [p for p, d in enumerate(deg) if d == 0]
         for p in order:  # Kahn's algorithm: a cycle keeps nodes out of it
             for c in succ[start[p]:start[p + 1]]:
@@ -105,6 +111,7 @@ class Dfg:
                 if deg[c] == 0:
                     order.append(c)
         self._index = _Index(src, dst, start, succ, len(order) == len(ids))
+        self._pairs = None  # the index holds the edges now
         return self._index
 
     def _sub_ids(self, p: int) -> list[str]:
@@ -123,7 +130,7 @@ class Dfg:
     def edges(self) -> list[tuple[str, str]]:
         """A snapshot of the (src, dst) id pairs in input order; an edge
         between split nodes lists every pair of their sub-nodes."""
-        if max(self._width, default=1) == 1:
+        if self._index is None:
             return list(self._pairs)
         subs = [self._sub_ids(p) for p in range(len(self._ids))]
         return [(s, t) for a, b in zip(self._index.src, self._index.dst)
@@ -151,9 +158,9 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     termination, i.e. the last node's end plus its trailing gap."""
     if n_devices < 1:
         raise InvalidDevice("need at least one device")
-    devices, durations, gaps, width = (dfg._devices, dfg._durations,
-                                       dfg._gaps, dfg._width)
-    if bad := [i for i, d, k in zip(dfg._ids, devices, width)
+    ids, devices, width = dfg._ids, dfg._devices, dfg._width
+    durations, gaps = dfg._durations, dfg._gaps
+    if bad := [i for i, d, k in zip(ids, devices, width)
                if not 0 <= d <= n_devices - k]:
         raise InvalidDevice(f"node '{bad[0]}' needs a device outside 0.."
                             f"{n_devices - 1}")
@@ -169,27 +176,32 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     used = sorted({d + i for d, k in set(zip(devices, width))
                    for i in range(k)})
     slot = {d: s for s, d in enumerate(used)}
+    first_slot = [slot[d] for d in devices]  # by position
     device_time = [0.0] * len(used)
     # heap entries (readyTime, id, position): ids are unique, so the
     # position never decides the order; one heap per slot
     queues: list[list[tuple[float, str, int]]] = [[] for _ in used]
 
     def release(p: int) -> None:  # every sub-node of p, with one ready time
-        base = slot[devices[p]]
-        for i, sub_id in enumerate(dfg._sub_ids(p)):
-            heapq.heappush(queues[base + i], (ready_time[p], sub_id, p))
+        q = first_slot[p]
+        if width[p] == 1:
+            heappush(queues[q], (ready_time[p], ids[p], p))
+        else:
+            for i, sub_id in enumerate(dfg._sub_ids(p)):
+                heappush(queues[q + i], (ready_time[p], sub_id, p))
 
     for p in [p for p, count in enumerate(ref) if count == 0]:
         release(p)
     schedule: dict[str, tuple[float, float]] = {}
+    slots = range(len(used))
     while True:
         pick = -1
-        for d in range(len(used)):  # smallest (deviceTime, index) with work
+        for d in slots:  # smallest (deviceTime, index) with work
             if queues[d] and (pick < 0 or device_time[d] < device_time[pick]):
                 pick = d
         if pick < 0:
             break
-        _, sub_id, p = heapq.heappop(queues[pick])
+        _, sub_id, p = heappop(queues[pick])
         begin = max(device_time[pick], ready_time[p])
         end = begin + durations[p]
         schedule[sub_id] = (begin, end)
@@ -207,9 +219,8 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
 
 def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
     """Split every node whose op class appears in `rules` into k parallel
-    sub-nodes `id#0` .. `id#k-1` of duration/k each, inheriting all edges.
-    Sub-node i runs on device index (node.device + i); size the simulated
-    device set accordingly. The result shares the input's index."""
+    sub-nodes `id#0` .. `id#k-1` of duration/k each, inheriting all edges and
+    the input's index. Sub-node i runs on device index (node.device + i)."""
     if bad := [op_class for op_class, k in rules.items() if k < 1]:
         raise ValidationError(f"rule '{bad[0]}': core count must be >= 1")
     if max(dfg._width, default=1) > 1:  # split an expansion's sub-nodes
@@ -225,21 +236,18 @@ def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
             raise ValidationError(f"duplicate node ids: '{min(clash)}'")
     out = Dfg()._fill(ids, dfg._keys,
                       [d / k for d, k in zip(dfg._durations, width)],
-                      dfg._gaps, dfg._devices, dfg._pairs, width, graph)
+                      dfg._gaps, dfg._devices, None, width, graph)
     out.validate()
     return out
 
 
 def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
                   device, normalizer, predictor=None) -> dict[str, float]:
-    """Fill the duration column with one prediction per distinct tir_key, in
-    order of first appearance; `programs` maps tir_key to compact AST. The
-    cost model predicts all keys in one batch; a custom `predictor(compact,
-    device)` (tests, oracle replays) is called once per key instead."""
+    """Fill the duration column from one prediction per distinct tir_key:
+    one cost-model batch, or one `predictor(compact, device)` call per key."""
     keys = list(dict.fromkeys(dfg._keys))
-    for key in keys:
-        if key not in programs:
-            raise ValidationError(f"no program for tir_key '{key}'")
+    if missing := [key for key in keys if key not in programs]:
+        raise ValidationError(f"no program for tir_key '{missing[0]}'")
     if predictor is None:
         inputs = [features.encode_input(programs[key], device) for key in keys]
         values = costmodel.predict_batch(params, inputs, normalizer).tolist()
@@ -250,45 +258,38 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
     return durations
 
 
-# ---------------------------------------------------------------------------
-# Graph + program file I/O
-# ---------------------------------------------------------------------------
-
 def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
-    """Graph JSON: nodes carry id/tir_key/device/gap_s/program_ref, edges are
-    [from, to] lists. Returns the graph and the tir_key -> program_ref map.
-    A bad graph raises ValidationError (CycleDetected for a cycle) naming the
-    file and the node or edge index: no nodes, a missing or malformed field,
-    a device that is not a JSON integer, a negative or non-finite gap_s or
-    duration_s, a malformed or dangling edge, or a duplicate id."""
+    """Graph JSON: nodes carry id/tir_key/device/gap_s/duration_s/program_ref
+    (device a JSON integer, times finite and >= 0), edges are [from, to]
+    lists. Returns the validated graph and the tir_key -> program_ref map."""
     data = read_json(path)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValidationError(
             f"{path}: graph must be a JSON object with a list of nodes")
-    rows = []  # (id, tir_key, duration, gap, device) per node
+    ids, keys, durations, gaps, devices = ([None] * len(entries)
+                                           for _ in range(5))
     key_to_ref: dict[str, str] = {}
     for index, entry in enumerate(entries):
         try:
-            row = (str(entry["id"]), str(entry["tir_key"]),
-                   float(entry.get("duration_s", 0.0)),
-                   float(entry.get("gap_s", 0.0)), entry.get("device", 0))
-        except KeyError as e:
-            raise ValidationError(
-                f"{path}: node {index}: missing field {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"{path}: node {index}: {e}") from e
-        if not (0.0 <= row[2] < math.inf and 0.0 <= row[3] < math.inf
-                and type(row[4]) is int):
+            ids[index] = str(entry["id"])
+            keys[index] = key = str(entry["tir_key"])
+            durations[index] = duration = float(entry.get("duration_s", 0.0))
+            gaps[index] = gap = float(entry.get("gap_s", 0.0))
+            devices[index] = device = entry.get("device", 0)
+        except (KeyError, TypeError, ValueError) as e:
+            what = f"missing field {e}" if isinstance(e, KeyError) else e
+            raise ValidationError(f"{path}: node {index}: {what}") from e
+        if not (0.0 <= duration < math.inf and 0.0 <= gap < math.inf
+                and type(device) is int):
             raise ValidationError(f"{path}: node {index}: gap_s and duration_s "
                                   f"must be finite and >= 0, device a JSON "
                                   f"integer")
-        rows.append(row)
         ref = entry.get("program_ref")
-        if ref is not None and key_to_ref.setdefault(row[1], str(ref)) != str(ref):
+        if ref is not None and key_to_ref.setdefault(key, str(ref)) != str(ref):
             raise ValidationError(f"{path}: node {index}: tir_key "
-                                  f"'{row[1]}' maps to multiple programs")
-    if not rows:
+                                  f"'{key}' maps to multiple programs")
+    if not entries:
         raise ValidationError(f"{path}: graph has no nodes")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
@@ -297,8 +298,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
         if type(edge) is not list or len(edge) != 2:
             raise ValidationError(f"{path}: edges[{index}] must be a "
                                   f"[from, to] list, not {edge!r}")
-    dfg = Dfg()._fill(*map(list, zip(*rows)),
-                      [(str(a), str(b)) for a, b in edges])
+    dfg = Dfg()._fill(ids, keys, durations, gaps, devices, edges)
     try:
         dfg.validate()
     except (ValidationError, CycleDetected) as e:

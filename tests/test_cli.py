@@ -436,6 +436,51 @@ def test_dataset_line_without_field_is_input_error(workdir, tmp_path, capsys):
     assert f"{data}:3:" in err and "task_id" in err
 
 
+def _dataset_with(workdir, tmp_path, index, **fields):
+    """The shared dataset with `fields` set on line `index` (from 0)."""
+    lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
+    lines[index] = json.dumps({**json.loads(lines[index]), **fields})
+    data = tmp_path / "ds.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize("command, key", [
+    ("predict", "dataset"), ("eval", "dataset"), ("train", "dataset"),
+    ("tune", "dataset"), ("finetune", "dataset"),
+    ("finetune", "target_dataset")])
+def test_unknown_device_names_dataset_and_sample(workdir, tmp_path, capsys,
+                                                 command, key):
+    data = _dataset_with(workdir, tmp_path, 2, device_id="nope")
+    sample_id = json.loads(data.read_text().splitlines()[2])["id"]
+    values = {"dataset": f"{workdir}/synth/dataset.jsonl",
+              "target_dataset": f"{workdir}/synth/dataset.jsonl",
+              "devices": f"{workdir}/synth/devices.json",
+              "checkpoint": f"{workdir}/train/checkpoint.npz", key: data}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                   encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 command]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{data}: sample '{sample_id}': unknown device 'nope'" in err
+
+
+@pytest.mark.parametrize("value", [True, "1e-3", -1])
+def test_bad_latency_names_dataset_line(workdir, tmp_path, capsys, value):
+    data = _dataset_with(workdir, tmp_path, 2, latency_s=value)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {data}\ndevices = {workdir}/synth/devices.json"
+                   f"\ncheckpoint = {workdir}/train/checkpoint.npz\n",
+                   encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "predict"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{data}:3: latency_s must be a finite JSON number > 0" in err
+    assert "Traceback" not in err
+
+
 def _exit_code(workdir, tmp_path, capsys, command="predict", **keys):
     """Exit code of `command` on the shared dataset and model, with config
     keys set or overridden by `keys`; asserts that stderr has no

@@ -305,10 +305,29 @@ def test_jsonl_float_precision(tmp_path):
     assert rendered == format(ds.samples[0].latency_s, ".17g")
 
 
+_NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("latency_s", None, "missing field 'latency_s'"),
-    ("latency_s", "fast", "could not convert"),
+    ("latency_s", "fast", _NOT_A_LATENCY),
     ("vectors", [["x"]], "could not convert"),
+    # bool is an int subclass, int() truncates 3.5, float() parses "1e-3"
+    *(pytest.param(field, value, message, id=name)
+      for name, field, value, message in [
+          ("latency-true", "latency_s", True, _NOT_A_LATENCY),
+          ("latency-string", "latency_s", "1e-3", _NOT_A_LATENCY),
+          ("latency-zero", "latency_s", 0, _NOT_A_LATENCY),
+          ("latency-negative", "latency_s", -1.0, _NOT_A_LATENCY),
+          ("latency-huge-int", "latency_s", 10 ** 400, "too large"),
+          ("n_leaf-true", "n_leaf", True, "n_leaf must be a JSON integer"),
+          ("n_leaf-float", "n_leaf", 1.0, "n_leaf must be a JSON integer"),
+          ("ordering-float", "ordering", [3.5], "ordering must be a list"),
+          ("ordering-string", "ordering", ["0"], "ordering must be a list"),
+          ("serialized-true", "serialized", [0, True],
+           "serialized must be a list"),
+          ("serialized-string", "serialized", "0",
+           "serialized must be a list")]),
 ])
 def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
     ds = generate_synthetic(3, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
@@ -324,6 +343,29 @@ def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
     with pytest.raises(ValidationError) as info:
         load_dataset(path)
     assert f"{path}:2:" in str(info.value) and message in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+def test_jsonl_non_finite_latency_names_line(tmp_path, text):
+    ds = generate_synthetic(1, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    line = sample_to_line(ds.samples[0])
+    head = line[:line.index("\"latency_s\":")]
+    path = tmp_path / "ds.jsonl"
+    path.write_text(f"{head}\"latency_s\":{text}}}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f":1: {_NOT_A_LATENCY}"):
+        load_dataset(path)
+
+
+def test_jsonl_integral_latency_loads(tmp_path):
+    # `_fmt` writes a whole-number latency without a decimal point
+    ds = generate_synthetic(1, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    ds.samples[0].latency_s = 1.0
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    assert "\"latency_s\":1}" in path.read_text(encoding="utf-8")
+    assert load_dataset(path).samples == ds.samples
 
 
 def test_jsonl_non_object_line(tmp_path):

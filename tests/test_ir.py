@@ -180,6 +180,48 @@ def test_fuzz_structured_fragments(rng):
             pass
 
 
+def _nest(depth):
+    return ("for a in 0..2 { " * depth + "compute x { fma=1 } "
+            + "} " * depth)
+
+
+def _leaves(n):
+    return " ".join(f"compute c{i} {{ fma=1 }}" for i in range(n))
+
+
+# Which error wins when a program has several faults, as parse_program
+# reported it when it validated the whole tree in a second walk.
+_DEEPER = "nesting deeper than 64"
+_PRECEDENCE = [
+    ("program p { " + _nest(64) + "compute y { fma=1 } }", _DEEPER),
+    ("program p { compute y { fma=1 } " + _nest(64) + "}", _DEEPER),
+    ("program p { " + _nest(64) + _leaves(17) + " }", _DEEPER),
+    ("program p { " + _nest(64) + "}", 1),
+    ("program p { " + _nest(63) + "compute y { fma=1 } }", 2),
+    ("program p { for i in 0..2 { " + _leaves(17) + " } }",
+     "program has 17 leaves, maximum is 16"),
+    ("program p {\n  for i in 0..2 {\n    compute c { fma=0 bytes_read=0 }"
+     "\n  }\n}\n", "compute leaf has no ops and no bytes"),
+    ("program p { compute z { add=0 } " + _leaves(17) + " }",
+     "compute leaf has no ops and no bytes"),
+    ("program p {\n  for i in 0..0 {\n    compute c { fma=1 }\n  }\n}\n",
+     "loop 'i': extent must be >= 1, got 0"),
+    ("program p { for i in 0..0 { compute c { fma=0 } } }",
+     "loop 'i': extent must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _PRECEDENCE)
+def test_error_precedence(text, expected):
+    if isinstance(expected, int):
+        assert parse_program(text).n_leaf == expected
+        return
+    with pytest.raises(ValidationError) as info:
+        parse_program(text)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == expected
+
+
 def test_validation_of_programmatic_trees():
     with pytest.raises(ValidationError):
         make_program("p", loop(LoopInfo("i", 3), ()))  # empty body

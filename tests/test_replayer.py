@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import model_graph
 from oracle_sim import oracle_simulate
 from tpcost import costmodel
 from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer,
@@ -628,6 +630,68 @@ def test_load_graph_names_file_and_node(tmp_path, payload, message):
     with pytest.raises(ValidationError) as info:
         load_graph(path)
     assert str(path) in str(info.value) and message in str(info.value)
+
+
+def _node(node_id):
+    return {"id": node_id, "tir_key": "k"}
+
+
+# Which error a bad graph reports when it has several faults, with the
+# messages load_graph gave when it built (from, to) id pairs first.
+@pytest.mark.parametrize("nodes, edges, error, message", [
+    (["a", "b", "a"], [["a", "zz"]], ValidationError,
+     "duplicate node ids: 'a' (node 0)"),
+    (["a", "b", "b", "a"], [], ValidationError,
+     "duplicate node ids: 'a' (node 0)"),
+    (["a", "b", "b"], [["a", "b"], ["b", "a"]], ValidationError,
+     "duplicate node ids: 'b' (node 1)"),
+    (["a", "b"], [["a", "zz"], ["a"]], ValidationError,
+     "edges[1] must be a [from, to] list, not ['a']"),
+    (["a"], [["a", "a"], "ab"], ValidationError,
+     "edges[1] must be a [from, to] list, not 'ab'"),
+    (["a", "b"], [["a", "b"], [1, "b"], ["b", "q"]], ValidationError,
+     "edge 1 ('1', 'b'): unknown node"),
+    (["a"], [[["a"], "a"]], ValidationError,
+     "edge 0 (\"['a']\", 'a'): unknown node"),
+    ([1, 2], [[1, 2], [2, "1"]], CycleDetected, "graph has a dependency cycle"),
+    (["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "c"]], CycleDetected,
+     "graph has a dependency cycle"),
+])
+def test_load_graph_error_precedence(tmp_path, nodes, edges, error, message):
+    path = tmp_path / "g.json"
+    _write_graph(path, [_node(i) for i in nodes], edges)
+    with pytest.raises(error) as info:
+        load_graph(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_graph_keeps_backward_edges_in_input_order(tmp_path):
+    path = tmp_path / "g.json"
+    _write_graph(path, [_node("a"), _node("b"), _node("c")],
+                 [["c", "b"], ["b", "a"], ["c", "a"]])
+    dfg, _ = load_graph(path)
+    assert dfg.edges == [("c", "b"), ("b", "a"), ("c", "a")]
+    assert list(simulate(dfg, 1).schedule) == ["c", "b", "a"]
+
+
+def test_replay_is_pinned_bit_for_bit(tmp_path):
+    """A 2000-node graph over 60 IR-only kernels, split by the benchmark's
+    rules: the iteration time, the schedule in dispatch order and every
+    compact AST, as recorded before the load path was rewritten."""
+    graph, programs = model_graph.write_model_graph(tmp_path)
+    for path, digest in ((graph, "4aebbe8c3127a7ef"),
+                         (programs, "746be7f6695e4e4f")):  # the inputs
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+    result = replay_model(graph, programs, None, None, None,
+                          rules=model_graph.SPLIT_RULES,
+                          predictor=model_graph.kernel_latency)
+    assert result.iteration_time.hex() == "0x1.d5eab47766f69p-8"
+    assert len(result.schedule) == 3692
+    assert model_graph.schedule_digest(result.schedule) == (
+        "e9900eef0311c28411e6f2a1d4a52fc056523b1916ec3a9e53095c78f9fc4d8c")
+    assert model_graph.compacts_digest(load_programs(programs)) == (
+        "960e755ec9e7bec4a1c37d94b4ef10f1c557d27b51672ea5eef0cb72d431e701")
 
 
 def test_replay_model_chain_with_injected_oracle(tmp_path):
