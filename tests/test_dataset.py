@@ -310,7 +310,9 @@ _NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
 
 @pytest.mark.parametrize("field, value, message", [
     ("latency_s", None, "missing field 'latency_s'"),
-    ("latency_s", "fast", _NOT_A_LATENCY),
+    # the id predates the JSON type check, when float() rejected "fast"
+    pytest.param("latency_s", "fast", _NOT_A_LATENCY,
+                 id="latency_s-fast-could not convert"),
     ("vectors", [["x"]], "could not convert"),
     # bool is an int subclass, int() truncates 3.5, float() parses "1e-3"
     *(pytest.param(field, value, message, id=name)
