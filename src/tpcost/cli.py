@@ -28,7 +28,8 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import TpcostError, ValidationError, read_json, read_text
+from .errors import (TpcostError, ValidationError, json_int, read_json,
+                     read_text)
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
@@ -460,10 +461,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
                 f"{rules_path}: rules must be a JSON object of op class to "
                 f"core count")
         for op_class, k in rules.items():
-            if type(k) is not int:  # bool is an int subclass
-                raise ValidationError(
-                    f"{rules_path}: rule '{op_class}': core count must be a "
-                    f"JSON integer, got {k!r}")
+            json_int(k, f"{rules_path}: rule '{op_class}': core count", 1)
     result = replayer.replay_model(config.require("graph"),
                                    config.require("programs"), params,
                                    devices[device_name], normalizer,

@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import math
-import sys
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -24,7 +23,8 @@ from . import nn
 from .dataset import BoxCoxNormalizer, Dataset, fit_boxcox
 from .errors import (CheckpointError, DimensionMismatch, EmptyBatch,
                      EmptyDataset, EmptySelection, EmptySet,
-                     LeafCountExceeded, NonFiniteLoss, ValidationError)
+                     LeafCountExceeded, NonFiniteLoss, ValidationError,
+                     json_bool, json_int, json_list, json_number, json_str)
 from .features import N_ENTRY, CompactAst, DeviceSpec, EncodedInput, encode_input
 from .ir import MAX_LEAVES_DEFAULT
 
@@ -806,28 +806,24 @@ def save_checkpoint(path, params: CostModelParams,
         f.write(buf.getvalue())
 
 
-def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = ()):
+_FIELD_CHECKS = {int: json_int, float: json_number, str: json_str,
+                 bool: json_bool,
+                 tuple: lambda v, what: tuple(json_list(v, what, json_int))}
+
+
+def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = (), **low):
     """Dataclass `cls` from a JSON object with exactly its fields (`ignore`
-    keys are dropped), each of its default's type; a tuple is read from a
-    list of ints, and a float may be written as an int."""
+    keys dropped), each typed as its default; `low` bounds float fields."""
     names = sorted(f.name for f in fields(cls))
     if not isinstance(raw, dict) or sorted(set(raw) - set(ignore)) != names:
         raise CheckpointError(
             f"{what} must be a JSON object with the keys {names}")
-    values = {}
-    for f in fields(cls):
-        value, kind = raw[f.name], type(f.default)
-        if (kind is float and type(value) is int
-                and abs(value) <= sys.float_info.max):
-            value = float(value)
-        if (kind is tuple and isinstance(value, list)
-                and all(type(v) is int for v in value)):
-            value = tuple(value)
-        if type(value) is not kind:
-            raise CheckpointError(f"{what}: bad value for '{f.name}': "
-                                  f"{value!r}")
-        values[f.name] = value
-    return cls(**values)
+    try:
+        return cls(**{f.name: _FIELD_CHECKS[type(f.default)](
+            raw[f.name], f"{what}: {f.name}", *low.get(f.name, ()))
+            for f in fields(cls)})
+    except ValidationError as e:
+        raise CheckpointError(str(e)) from e
 
 
 def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
@@ -866,14 +862,6 @@ def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
     params = CostModelParams(config=config, tensors=tensors)
     norm = None
     if meta["normalizer"] is not None:
-        norm = _from_json(BoxCoxNormalizer, meta["normalizer"], "normalizer")
-        inf = math.inf  # chained comparisons, which NaN fails
-        for name, ok in (("lambda_bc", -inf < norm.lambda_bc < inf),
-                         ("t_mean", -inf < norm.t_mean < inf),
-                         ("loss_offset", -inf < norm.loss_offset < inf),
-                         ("t_std", 0.0 < norm.t_std < inf),
-                         ("shift", 0.0 <= norm.shift < inf)):
-            if not ok:
-                raise CheckpointError(f"normalizer: bad value for '{name}': "
-                                      f"{getattr(norm, name)!r}")
+        norm = _from_json(BoxCoxNormalizer, meta["normalizer"], "normalizer",
+                          t_std=(0.0, False), shift=(0.0,))
     return params, norm

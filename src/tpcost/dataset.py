@@ -18,7 +18,8 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import (DegenerateLabels, DomainError, EmptyDataset,
-                     MissingPeakFlops, NotFitted, ValidationError, read_text)
+                     MissingPeakFlops, NotFitted, ValidationError, json_int,
+                     json_list, json_number, json_str, read_text)
 from .features import (IDX_LOG_PARALLEL_EXTENT, IDX_LOG_TOTAL_BYTES_READ,
                        IDX_LOG_TOTAL_BYTES_WRITTEN, IDX_LOG_TOTAL_FLOPS,
                        IDX_PARALLEL_COUNT, N_ENTRY, CompactAst, DeviceSpec,
@@ -450,44 +451,21 @@ def sample_to_line(s: Sample) -> str:
             "}")
 
 
-def _json_ints(d: dict, key: str) -> tuple[int, ...]:
-    values = d[key]
-    # as for latency_s; int() would also truncate 3.5
-    if type(values) is not list or any(type(v) is not int for v in values):
-        raise ValidationError(f"{key} must be a list of JSON integers")
-    return tuple(values)
-
-
-def _latency(value) -> float:
-    # bool is an int subclass; a string such as "1e-3" is not a number
-    if type(value) not in (int, float) or not 0 < value < math.inf:
-        raise ValidationError(
-            f"latency_s must be a finite JSON number > 0, got {value!r}")
-    return float(value)
-
-
 def sample_from_dict(d: dict) -> Sample:
-    """A sample from a parsed dataset line. `latency_s` must be a finite JSON
-    number > 0 (`_fmt` writes 1.0 as 1), `n_leaf` and the `ordering` and
-    `serialized` entries JSON integers; bools and strings are rejected."""
-    vectors = np.asarray(d["vectors"], dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ValidationError("vectors must be a 2-D array")
-    ordering, serialized = _json_ints(d, "ordering"), _json_ints(d, "serialized")
-    if type(d["n_leaf"]) is not int:
-        raise ValidationError(
-            f"n_leaf must be a JSON integer, got {d['n_leaf']!r}")
-    compact = CompactAst(leaf_vectors=vectors, ordering=ordering,
-                         serialized=serialized, n_leaf=d["n_leaf"])
-    if compact.n_leaf != vectors.shape[0]:
-        raise ValidationError("n_leaf does not match vector count")
-    if vectors.shape[1] != N_ENTRY:
-        raise ValidationError(f"vectors must have {N_ENTRY} columns")
-    if len(compact.ordering) != compact.n_leaf:
-        raise ValidationError("ordering must have n_leaf entries")
-    return Sample(id=str(d["id"]), task_id=str(d["task_id"]),
-                  model_id=str(d["model_id"]), device_id=str(d["device_id"]),
-                  compact=compact, latency_s=_latency(d["latency_s"]))
+    """A sample from a parsed dataset line, typed by the errors.py checkers:
+    `vectors` holds n_leaf rows of N_ENTRY JSON numbers (`_fmt` writes 0.0
+    as 0), `latency_s` is a number > 0 and the ids are JSON strings."""
+    n_leaf = json_int(d["n_leaf"], "n_leaf", 1)
+    rows = json_list(d["vectors"], "vectors", lambda row, what: json_list(
+        row, what, json_number, N_ENTRY), n_leaf)
+    compact = CompactAst(
+        leaf_vectors=np.array(rows), n_leaf=n_leaf,
+        ordering=tuple(json_list(d["ordering"], "ordering", json_int, n_leaf)),
+        serialized=tuple(json_list(d["serialized"], "serialized", json_int)))
+    return Sample(**{key: json_str(d[key], key)
+                     for key in ("id", "task_id", "model_id", "device_id")},
+                  compact=compact, latency_s=json_number(
+                      d["latency_s"], "latency_s", 0.0, inclusive=False))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
@@ -504,13 +482,10 @@ def load_dataset(path: str | Path) -> Dataset:
         if not line:
             continue
         try:
-            d = json.loads(line)
+            samples.append(sample_from_dict(json.loads(line)))
         except json.JSONDecodeError as e:
             raise ValidationError(f"{path}:{lineno}: bad JSON: {e}") from e
-        try:
-            samples.append(sample_from_dict(d))
-        except KeyError as e:
-            raise ValidationError(f"{path}:{lineno}: missing field {e}") from e
-        except (TypeError, ValueError, OverflowError, ValidationError) as e:
-            raise ValidationError(f"{path}:{lineno}: {e}") from e
+        except (KeyError, TypeError, ValidationError) as e:
+            what = f"missing field {e}" if isinstance(e, KeyError) else e
+            raise ValidationError(f"{path}:{lineno}: {what}") from e
     return Dataset(samples=samples)

@@ -1,9 +1,11 @@
 """Shared exception hierarchy. Every typed failure in the package derives
 from TpcostError so callers (and the CLI) can distinguish input problems
 from genuine bugs. The input-file readers here raise one for a file that
-does not decode."""
+does not decode; the `json_*` checkers type every value of a JSON input."""
 
 import json
+import sys
+from math import inf
 
 
 class TpcostError(Exception):
@@ -111,3 +113,63 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: bad JSON: {e}") from e
+
+
+def json_int(value, what: str, low: int | None = None) -> int:
+    """A JSON integer (never a bool), >= `low` if given."""
+    if type(value) is not int or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{what} must be a JSON integer{bound}, got "
+                              f"{value!r}")
+    return value
+
+
+def json_number(value, what: str, low: float = -inf,
+                inclusive: bool = True) -> float:
+    """A finite JSON number (an int or a float, not a bool) as a float,
+    >= `low`, or > `low` unless `inclusive`."""
+    kind = type(value)
+    if kind is float or kind is int and abs(value) <= sys.float_info.max:
+        number = float(value)
+        # chained comparisons, which NaN fails
+        if -inf < number < inf and (
+                low <= number if inclusive else low < number):
+            return number
+        reason = f"got {value!r}"
+    elif kind is int:
+        reason = "got an integer too large"
+    else:
+        reason = f"could not convert {value!r}"
+    bound = f" {'>=' if inclusive else '>'} {low:g}" if low > -inf else ""
+    raise ValidationError(f"{what} must be a finite JSON number{bound}, "
+                          f"{reason}")
+
+
+def json_list(value, what: str, kind=None, length: int | None = None) -> list:
+    """The entries of a JSON list, each checked by `kind` (a checker such
+    as json_number) if given, and then its length, if given."""
+    if type(value) is not list:
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    if kind is not None:
+        try:
+            value = [kind(v, f"entry {i}") for i, v in enumerate(value)]
+        except ValidationError as e:
+            raise ValidationError(f"{what} must be a list: {e}") from None
+    if length is not None and len(value) != length:
+        raise ValidationError(f"{what} must be a list of {length} entries, "
+                              f"got {len(value)}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string, such as an identifier."""
+    if type(value) is not str:
+        raise ValidationError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
+def json_bool(value, what: str) -> bool:
+    """A JSON true or false, not 0 or 1."""
+    if type(value) is not bool:
+        raise ValidationError(f"{what} must be a JSON bool, got {value!r}")
+    return value

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import inf, log2
+from math import log2
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LeafCountExceeded, ValidationError, read_json
+from .errors import (LeafCountExceeded, ValidationError, json_int, json_number,
+                     json_str, read_json)
 from .ir import AstNode, ComputeStats, LoopInfo, ProgramAst
 
 N_ENTRY = 24  # computation-vector width; must stay even for the PE formulas
@@ -89,36 +90,15 @@ class DeviceSpec:
     peak_fp32_gflops: float = 0.0
     l2_cache_mb: float = 0.0
 
-    def validate(self) -> None:
-        for attr in ("clock_mhz", "mem_gb", "bandwidth_gbps", "cores"):
-            if not (0 < getattr(self, attr) < inf):
-                raise ValidationError(
-                    f"device '{self.name}': {attr} must be finite and > 0")
-        for attr in ("peak_fp32_gflops", "l2_cache_mb"):
-            if not (0 <= getattr(self, attr) < inf):
-                raise ValidationError(
-                    f"device '{self.name}': {attr} must be finite and >= 0")
-
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSpec":
-        try:
-            if not isinstance(d["name"], str):
-                raise TypeError("name must be a string")
-            if type(d["cores"]) is not int:  # bool is an int subclass
-                raise TypeError(f"cores must be a JSON integer, got "
-                                f"{d['cores']!r}")
-            spec = cls(name=d["name"], clock_mhz=float(d["clock_mhz"]),
-                       mem_gb=float(d["mem_gb"]),
-                       bandwidth_gbps=float(d["bandwidth_gbps"]),
-                       cores=d["cores"],
-                       peak_fp32_gflops=float(d.get("peak_fp32_gflops", 0.0)),
-                       l2_cache_mb=float(d.get("l2_cache_mb", 0.0)))
-        except KeyError as e:
-            raise ValidationError(f"missing key {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ValidationError(str(e)) from e
-        spec.validate()
-        return spec
+        """A spec from a catalog entry; KeyError for a missing key."""
+        return cls(name=json_str(d["name"], "name"),
+                   cores=json_int(d["cores"], "cores", 1),
+                   **{key: json_number(d[key], key, 0.0, inclusive=False)
+                      for key in ("clock_mhz", "mem_gb", "bandwidth_gbps")},
+                   **{key: json_number(d.get(key, 0.0), key, 0.0)
+                      for key in ("peak_fp32_gflops", "l2_cache_mb")})
 
 
 def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
@@ -133,8 +113,9 @@ def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
             if not isinstance(entry, dict):
                 raise ValidationError("not a JSON object")
             spec = DeviceSpec.from_dict(entry)
-        except ValidationError as e:
-            raise ValidationError(f"{path}: entry {i}: {e}") from e
+        except (KeyError, ValidationError) as e:
+            what = f"missing key {e}" if isinstance(e, KeyError) else e
+            raise ValidationError(f"{path}: entry {i}: {what}") from e
         if spec.name in catalog:
             raise ValidationError(
                 f"{path}: entry {i}: duplicate device name '{spec.name}'")

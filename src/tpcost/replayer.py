@@ -24,7 +24,6 @@ start still waits for max(deviceTime, readyTime).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -34,7 +33,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import costmodel, features
 from .errors import (CycleDetected, InvalidDevice, ParseError, TpcostError,
-                     ValidationError, read_json, read_text)
+                     ValidationError, json_int, json_list, json_number,
+                     json_str, read_json, read_text)
 from .features import CompactAst, build_compact_ast
 from .ir import MAX_LEAVES_DEFAULT, parse_program
 
@@ -260,7 +260,7 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
 
 def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     """Graph JSON: nodes carry id/tir_key/device/gap_s/duration_s/program_ref
-    (device a JSON integer, times finite and >= 0), edges are [from, to]
+    (typed by the errors.py checkers, times >= 0), edges are [from, to]
     lists. Returns the validated graph and the tir_key -> program_ref map."""
     data = read_json(path)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
@@ -272,28 +272,23 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     key_to_ref: dict[str, str] = {}
     for index, entry in enumerate(entries):
         try:
-            ids[index] = str(entry["id"])
-            keys[index] = key = str(entry["tir_key"])
-            durations[index] = duration = float(entry.get("duration_s", 0.0))
-            gaps[index] = gap = float(entry.get("gap_s", 0.0))
-            devices[index] = device = entry.get("device", 0)
-        except (KeyError, TypeError, ValueError) as e:
+            ids[index] = json_str(entry["id"], "id")
+            keys[index] = key = json_str(entry["tir_key"], "tir_key")
+            durations[index] = json_number(entry.get("duration_s", 0.0),
+                                           "duration_s", 0.0)
+            gaps[index] = json_number(entry.get("gap_s", 0.0), "gap_s", 0.0)
+            devices[index] = json_int(entry.get("device", 0), "device")
+            ref = entry.get("program_ref")
+            if ref is not None and key_to_ref.setdefault(
+                    key, json_str(ref, "program_ref")) != ref:
+                raise ValidationError(f"tir_key '{key}' maps to multiple "
+                                      f"programs")
+        except (KeyError, TypeError, ValidationError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else e
             raise ValidationError(f"{path}: node {index}: {what}") from e
-        if not (0.0 <= duration < math.inf and 0.0 <= gap < math.inf
-                and type(device) is int):
-            raise ValidationError(f"{path}: node {index}: gap_s and duration_s "
-                                  f"must be finite and >= 0, device a JSON "
-                                  f"integer")
-        ref = entry.get("program_ref")
-        if ref is not None and key_to_ref.setdefault(key, str(ref)) != str(ref):
-            raise ValidationError(f"{path}: node {index}: tir_key "
-                                  f"'{key}' maps to multiple programs")
     if not entries:
         raise ValidationError(f"{path}: graph has no nodes")
-    edges = data.get("edges", [])
-    if not isinstance(edges, list):
-        raise ValidationError(f"{path}: edges must be a list")
+    edges = json_list(data.get("edges", []), f"{path}: edges")
     for index, edge in enumerate(edges):
         if type(edge) is not list or len(edge) != 2:
             raise ValidationError(f"{path}: edges[{index}] must be a "

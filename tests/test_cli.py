@@ -745,6 +745,73 @@ def test_fuzzed_run_inputs_exit_0_or_2_and_write_json(fuzz_runs, data):
 
 
 # ---------------------------------------------------------------------------
+# One typing policy for every input file: a number swapped for a bool, null
+# or its own value as a JSON string exits 2 and names the file and the line,
+# node or entry
+# ---------------------------------------------------------------------------
+
+TYPED_GRAPH = {"nodes": [{"device": 0, "gap_s": 0.0, "duration_s": 0.0, **node}
+                         for node in GRAPH["nodes"]],
+               "edges": GRAPH["edges"]}
+
+
+def _number_paths(which, doc):
+    """The paths of the numbers of a dataset line, or of a graph's nodes or
+    a device catalog's entries."""
+    if which == "dataset":
+        return [("latency_s",), ("n_leaf",),
+                *(("vectors", i, j) for i, row in enumerate(doc["vectors"])
+                  for j in range(len(row))),
+                *(("ordering", k) for k in range(len(doc["ordering"]))),
+                *(("serialized", k) for k in range(len(doc["serialized"])))]
+    if which == "graph":
+        return [("nodes", i, key) for i in range(len(doc["nodes"]))
+                for key in ("duration_s", "gap_s", "device")]
+    return [(i, key) for i in range(len(doc))
+            for key in ("clock_mhz", "mem_gb", "bandwidth_gbps", "cores",
+                        "peak_fp32_gflops", "l2_cache_mb")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_number_swapped_for_bool_null_or_text_is_input_error(fuzz_runs, data):
+    root, files, lines, configs = fuzz_runs
+    which = data.draw(st.sampled_from(["dataset", "graph", "devices"]))
+    n = data.draw(st.integers(0, len(lines) - 1))
+    doc = {"dataset": json.loads(lines[n]), "graph": copy.deepcopy(TYPED_GRAPH),
+           "devices": json.loads(files["devices"].read_text())}[which]
+    path = data.draw(st.sampled_from(_number_paths(which, doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = data.draw(st.sampled_from(
+        [True, False, None, json.dumps(old)]))
+    config = dict(configs["replay" if which == "graph" else "predict"])
+    name = {"dataset": "dataset.swap.jsonl", "graph": "graph.swap.json",
+            "devices": "devices.swap.json"}[which]
+    config[which] = out = root / name
+    if which == "dataset":
+        out.write_text("\n".join([*lines[:n], json.dumps(doc), *lines[n + 1:]])
+                       + "\n", encoding="utf-8")
+        where = f"{out}:{n + 1}: "
+    else:
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        where = (f"{out}: node {path[1]}: " if which == "graph"
+                 else f"{out}: entry {path[0]}: ")
+    cfg = root / "swap.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
+                   encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["--config", str(cfg), "--out", str(root / "swap"),
+                     "replay" if which == "graph" else "predict"])
+    assert code == EXIT_INPUT, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert where in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # A NaN, infinite or negative number from outside the program exits 2 and
 # the error names where it came from
 # ---------------------------------------------------------------------------
@@ -793,6 +860,8 @@ def test_bad_oracle_value_is_input_error(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("field, value", [
     ("clock_mhz", "nan"), ("mem_gb", "inf"), ("bandwidth_gbps", float("nan")),
     ("peak_fp32_gflops", "inf"), ("l2_cache_mb", "nan"),
+    # a string or a bool is never a number
+    ("clock_mhz", "1500"), ("clock_mhz", True), ("l2_cache_mb", False),
 ])
 def test_non_finite_device_field_is_input_error(workdir, tmp_path, capsys,
                                                 field, value):
@@ -807,6 +876,9 @@ def test_non_finite_device_field_is_input_error(workdir, tmp_path, capsys,
 @pytest.mark.parametrize("field, value", [
     ("gap_s", float("nan")), ("gap_s", float("inf")), ("gap_s", -1.0),
     ("duration_s", float("nan")), ("duration_s", -1.0),
+    # a string or a bool is never a number
+    ("duration_s", "0.5"), ("duration_s", True), ("gap_s", "1e-3"),
+    ("gap_s", False),
 ])
 def test_bad_graph_time_is_input_error(workdir, tmp_path, capsys, field,
                                        value):
@@ -821,6 +893,22 @@ def test_bad_graph_time_is_input_error(workdir, tmp_path, capsys, field,
                  f"checkpoint = {workdir}/train/checkpoint.npz\n"
                  f"graph = {path}\nprograms = {programs}\ndevice = synth0\n",
                  str(path), "node 1", field)
+
+
+@pytest.mark.parametrize("field", ["duration_s", "gap_s"])
+def test_graph_time_too_large_for_a_float_names_node(workdir, tmp_path,
+                                                     capsys, field):
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    graph = copy.deepcopy(GRAPH)
+    graph["nodes"][1][field] = 10 ** 400  # float() raises OverflowError
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    _input_error(tmp_path, capsys, "replay",
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {workdir}/train/checkpoint.npz\n"
+                 f"graph = {path}\nprograms = {programs}\ndevice = synth0\n",
+                 f"{path}: node 1: {field}", "too large")
 
 
 AB_NODES = [{"id": "a", "tir_key": "k0", "program_ref": "demo"},

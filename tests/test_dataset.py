@@ -15,7 +15,7 @@ from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer, Dataset,
                             synth_latency)
 from tpcost.errors import (DegenerateLabels, DomainError, EmptyDataset,
                            MissingPeakFlops, NotFitted, ValidationError)
-from tpcost.features import DeviceSpec, build_compact_ast
+from tpcost.features import N_ENTRY, DeviceSpec, build_compact_ast
 from tpcost.ir import parse_program
 
 
@@ -329,7 +329,16 @@ _NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
           ("serialized-true", "serialized", [0, True],
            "serialized must be a list"),
           ("serialized-string", "serialized", "0",
-           "serialized must be a list")]),
+           "serialized must be a list"),
+          # a vectors entry is a finite JSON number, as any number is
+          ("vectors-string", "vectors", [["7.5"]], "could not convert '7.5'"),
+          ("vectors-true", "vectors", [[True]], "could not convert True"),
+          ("vectors-nan", "vectors", [[math.nan]], "got nan"),
+          ("vectors-inf", "vectors", [[math.inf]], "got inf"),
+          ("vectors-short-row", "vectors", [[0.0] * (N_ENTRY - 1)],
+           f"vectors must be a list: entry 0 must be a list of {N_ENTRY} "
+           "entries"),
+          ("vectors-short", "vectors", [], "vectors must be a list of")]),
 ])
 def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
     ds = generate_synthetic(3, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
@@ -345,6 +354,21 @@ def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
     with pytest.raises(ValidationError) as info:
         load_dataset(path)
     assert f"{path}:2:" in str(info.value) and message in str(info.value)
+
+
+@pytest.mark.parametrize("field", ["id", "task_id", "model_id", "device_id"])
+@pytest.mark.parametrize("value", [None, [1], 7, True])
+def test_jsonl_identifier_must_be_string(tmp_path, field, value):
+    ds = generate_synthetic(2, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    lines = [json.loads(sample_to_line(s)) for s in ds.samples]
+    lines[1][field] = value
+    path = tmp_path / "ds.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines),
+                    encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=f":2: {field} must be a JSON string, got "):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])

@@ -623,6 +623,15 @@ def test_load_graph_and_validation(tmp_path):
     ({"nodes": [{"id": "a", "tir_key": "k"}], "edges": [["a"]]}, "edges"),
     ([{"id": "a", "tir_key": "k"}], "JSON object"),
     ({"nodes": 5}, "list of nodes"),
+    # identifiers are JSON strings, not str() of any value
+    *(pytest.param({"nodes": [{"id": "a", "tir_key": "k"},
+                              {"id": "b", "tir_key": "k", **node}]},
+                   f"node 1: {field} must be a JSON string", id=name)
+      for name, field, node in [
+          ("id-null", "id", {"id": None}),
+          ("id-int", "id", {"id": 1}),
+          ("tir_key-list", "tir_key", {"tir_key": ["k"]}),
+          ("program_ref-int", "program_ref", {"program_ref": 3})]),
 ])
 def test_load_graph_names_file_and_node(tmp_path, payload, message):
     path = tmp_path / "g.json"
@@ -653,7 +662,9 @@ def _node(node_id):
      "edge 1 ('1', 'b'): unknown node"),
     (["a"], [[["a"], "a"]], ValidationError,
      "edge 0 (\"['a']\", 'a'): unknown node"),
-    ([1, 2], [[1, 2], [2, "1"]], CycleDetected, "graph has a dependency cycle"),
+    # node ids are JSON strings; edge ends are matched by their text
+    (["1", "2"], [[1, 2], [2, "1"]], CycleDetected,
+     "graph has a dependency cycle"),
     (["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "c"]], CycleDetected,
      "graph has a dependency cycle"),
 ])
