@@ -28,14 +28,14 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import (TpcostError, ValidationError, json_int, read_json,
-                     read_text)
+from .errors import (TpcostError, ValidationError, json_int, json_object,
+                     read_json, read_text)
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
 from .dataset import (DEFAULT_SYNTH_DEVICE, SPLIT_RATIOS, SynthOracleConfig,
-                      compact_json_fields, load_dataset, save_dataset,
-                      skewness, split_dataset)
+                      compact_to_dict, json_line, load_dataset,
+                      save_dataset, skewness, split_dataset)
 
 log = logging.getLogger("tpcost")
 
@@ -243,9 +243,7 @@ def _load_model(config: RunConfig):
 
 def _load_splits(path: str) -> dict[str, str]:
     """A splits file: a JSON object of sample id to split name."""
-    splits = read_json(path)
-    if not isinstance(splits, dict):
-        raise ValidationError(f"{path}: splits must be a JSON object")
+    splits = json_object(read_json(path), f"{path}: splits")
     for key, name in splits.items():
         if name not in dsmod.SPLITS:
             raise ValidationError(f"{path}: '{key}': unknown split {name!r}")
@@ -287,12 +285,9 @@ def cmd_extract(args, config: RunConfig) -> int:
         try:
             ast = parse_program(read_text(path), max_leaves=config.n_leaf_max)
             compact = build_compact_ast(ast)
-            lines.append("{"
-                         f"\"id\":{json.dumps(ast.name)},"
-                         f"\"source\":{json.dumps(str(path))},"
-                         f"{compact_json_fields(compact)}"
-                         "}")
-        except (TpcostError, OSError, OverflowError) as e:
+            lines.append(json_line({"id": ast.name, "source": str(path),
+                                    **compact_to_dict(compact)}))
+        except (TpcostError, OSError) as e:
             failures += 1
             print(f"error: {path}: {e}", file=sys.stderr)
     out_path = Path(args.out_jsonl)
@@ -455,11 +450,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
     rules = {}
     rules_path = config.values.get("rules")
     if rules_path is not None:
-        rules = read_json(rules_path)
-        if not isinstance(rules, dict):
-            raise ValidationError(
-                f"{rules_path}: rules must be a JSON object of op class to "
-                f"core count")
+        rules = json_object(read_json(rules_path), f"{rules_path}: rules")
         for op_class, k in rules.items():
             json_int(k, f"{rules_path}: rule '{op_class}': core count", 1)
     result = replayer.replay_model(config.require("graph"),
@@ -581,7 +572,8 @@ def main(argv=None) -> int:
         code = handler(args, config, run)
         run.finalize()
         return code
-    except (TpcostError, OSError, json.JSONDecodeError, OverflowError) as e:
+    except (TpcostError, OSError, OverflowError) as e:
+        # OverflowError: synth_latency's math.exp, for a large noise_sigma
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive

@@ -839,14 +839,16 @@ def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
             meta = json.loads(bytes(data["__meta__"]).decode())
             tensors = {name: np.asarray(data[name], dtype=np.float64)
                        for name in data.files if name != "__meta__"}
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            zipfile.BadZipFile) as e:
+    except (ValueError, KeyError, OSError, zipfile.BadZipFile) as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
     keys = ("version", "config", "normalizer", "checksum")
     if not isinstance(meta, dict) or not all(k in meta for k in keys):
         raise CheckpointError(f"metadata must be a JSON object with {keys}")
-    if meta["version"] != _CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported version {meta['version']!r}")
+    try:
+        if json_int(meta["version"], "version") != _CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported version {meta['version']!r}")
+    except ValidationError as e:
+        raise CheckpointError(str(e)) from e
     if _tensor_checksum(tensors) != meta["checksum"]:
         raise CheckpointError("checksum mismatch: corrupt checkpoint")
     config = _from_json(CostModelConfig, meta["config"], "config",

@@ -19,7 +19,8 @@ from scipy import stats as sstats
 
 from .errors import (DegenerateLabels, DomainError, EmptyDataset,
                      MissingPeakFlops, NotFitted, ValidationError, json_int,
-                     json_list, json_number, json_str, read_text)
+                     json_list, json_number, json_object, json_str,
+                     read_text)
 from .features import (IDX_LOG_PARALLEL_EXTENT, IDX_LOG_TOTAL_BYTES_READ,
                        IDX_LOG_TOTAL_BYTES_WRITTEN, IDX_LOG_TOTAL_FLOPS,
                        IDX_PARALLEL_COUNT, N_ENTRY, CompactAst, DeviceSpec,
@@ -418,43 +419,35 @@ def generate_synthetic(n: int, devices: list[DeviceSpec],
 
 
 # ---------------------------------------------------------------------------
-# JSONL persistence (floats written with 17 significant digits)
+# JSONL persistence (floats written as their shortest exact repr)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValidationError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+def json_line(obj: dict) -> str:
+    """One compact JSON line; ValidationError for a non-finite float."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise ValidationError("cannot serialize non-finite float") from e
 
 
-def compact_json_fields(compact: CompactAst) -> str:
-    """The shared n_leaf/vectors/ordering/serialized JSON fragment."""
-    vectors = "[" + ",".join(
-        "[" + ",".join(_fmt(v) for v in row) + "]"
-        for row in compact.leaf_vectors) + "]"
-    ordering = "[" + ",".join(str(i) for i in compact.ordering) + "]"
-    serialized = "[" + ",".join(str(i) for i in compact.serialized) + "]"
-    return (f"\"n_leaf\":{compact.n_leaf},"
-            f"\"vectors\":{vectors},"
-            f"\"ordering\":{ordering},"
-            f"\"serialized\":{serialized}")
+def compact_to_dict(compact: CompactAst) -> dict:
+    """The n_leaf/vectors/ordering/serialized fields shared by a dataset line
+    and an extracted program."""
+    return {"n_leaf": compact.n_leaf, "vectors": compact.leaf_vectors.tolist(),
+            "ordering": compact.ordering, "serialized": compact.serialized}
 
 
 def sample_to_line(s: Sample) -> str:
-    return ("{"
-            f"\"id\":{json.dumps(s.id)},"
-            f"\"task_id\":{json.dumps(s.task_id)},"
-            f"\"model_id\":{json.dumps(s.model_id)},"
-            f"\"device_id\":{json.dumps(s.device_id)},"
-            f"{compact_json_fields(s.compact)},"
-            f"\"latency_s\":{_fmt(s.latency_s)}"
-            "}")
+    return json_line({"id": s.id, "task_id": s.task_id, "model_id": s.model_id,
+                      "device_id": s.device_id, **compact_to_dict(s.compact),
+                      "latency_s": s.latency_s})
 
 
-def sample_from_dict(d: dict) -> Sample:
-    """A sample from a parsed dataset line, typed by the errors.py checkers:
-    `vectors` holds n_leaf rows of N_ENTRY JSON numbers (`_fmt` writes 0.0
-    as 0), `latency_s` is a number > 0 and the ids are JSON strings."""
+def sample_from_dict(d) -> Sample:
+    """A sample from a parsed dataset line, an object typed by the errors.py
+    checkers: `vectors` holds n_leaf rows of N_ENTRY JSON numbers (older
+    files wrote 0.0 as 0), `latency_s` is a number > 0, ids are strings."""
+    d = json_object(d, "dataset line")
     n_leaf = json_int(d["n_leaf"], "n_leaf", 1)
     rows = json_list(d["vectors"], "vectors", lambda row, what: json_list(
         row, what, json_number, N_ENTRY), n_leaf)
@@ -470,9 +463,7 @@ def sample_from_dict(d: dict) -> Sample:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for s in ds.samples:
-            f.write(sample_to_line(s))
-            f.write("\n")
+        f.writelines(sample_to_line(s) + "\n" for s in ds.samples)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -485,7 +476,7 @@ def load_dataset(path: str | Path) -> Dataset:
             samples.append(sample_from_dict(json.loads(line)))
         except json.JSONDecodeError as e:
             raise ValidationError(f"{path}:{lineno}: bad JSON: {e}") from e
-        except (KeyError, TypeError, ValidationError) as e:
+        except (KeyError, ValidationError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else e
             raise ValidationError(f"{path}:{lineno}: {what}") from e
     return Dataset(samples=samples)

@@ -1,11 +1,12 @@
 """Shared exception hierarchy. Every typed failure in the package derives
 from TpcostError so callers (and the CLI) can distinguish input problems
 from genuine bugs. The input-file readers here raise one for a file that
-does not decode; the `json_*` checkers type every value of a JSON input."""
+does not decode; the `json_*` checkers type every part of a JSON input."""
 
 import json
 import sys
 from math import inf
+from reprlib import repr as brief  # a rejected value may be a whole document
 
 
 class TpcostError(Exception):
@@ -149,7 +150,7 @@ def json_list(value, what: str, kind=None, length: int | None = None) -> list:
     """The entries of a JSON list, each checked by `kind` (a checker such
     as json_number) if given, and then its length, if given."""
     if type(value) is not list:
-        raise ValidationError(f"{what} must be a list, got {value!r}")
+        raise ValidationError(f"{what} must be a list, got {brief(value)}")
     if kind is not None:
         try:
             value = [kind(v, f"entry {i}") for i, v in enumerate(value)]
@@ -158,6 +159,14 @@ def json_list(value, what: str, kind=None, length: int | None = None) -> list:
     if length is not None and len(value) != length:
         raise ValidationError(f"{what} must be a list of {length} entries, "
                               f"got {len(value)}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object, such as one entry of an input file."""
+    if type(value) is not dict:
+        raise ValidationError(f"{what} must be a JSON object, got "
+                              f"{brief(value)}")
     return value
 
 

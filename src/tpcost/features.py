@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (LeafCountExceeded, ValidationError, json_int, json_number,
-                     json_str, read_json)
+                     json_object, json_str, read_json)
 from .ir import AstNode, ComputeStats, LoopInfo, ProgramAst
 
 N_ENTRY = 24  # computation-vector width; must stay even for the PE formulas
@@ -92,7 +92,7 @@ class DeviceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSpec":
-        """A spec from a catalog entry; KeyError for a missing key."""
+        """A spec from a catalog entry; KeyError for a missing field."""
         return cls(name=json_str(d["name"], "name"),
                    cores=json_int(d["cores"], "cores", 1),
                    **{key: json_number(d[key], key, 0.0, inclusive=False)
@@ -110,11 +110,9 @@ def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
     catalog = {}
     for i, entry in enumerate(entries):
         try:
-            if not isinstance(entry, dict):
-                raise ValidationError("not a JSON object")
-            spec = DeviceSpec.from_dict(entry)
+            spec = DeviceSpec.from_dict(json_object(entry, "device spec"))
         except (KeyError, ValidationError) as e:
-            what = f"missing key {e}" if isinstance(e, KeyError) else e
+            what = f"missing field {e}" if isinstance(e, KeyError) else e
             raise ValidationError(f"{path}: entry {i}: {what}") from e
         if spec.name in catalog:
             raise ValidationError(
@@ -151,8 +149,7 @@ def _log_extent_product(loops: list[LoopInfo]) -> tuple[float, int]:
     for lp in loops:
         product *= lp.extent
     if product > _EXTENT_PRODUCT_LIMIT:
-        raise OverflowError(
-            f"extent product {product} exceeds 2^62")
+        raise ValidationError(f"extent product {product} exceeds 2^62")
     return log2(1 + product), product
 
 
@@ -179,12 +176,15 @@ def compute_vector(leaf: ComputeStats, enclosing: list[LoopInfo],
     total_flops = per_iter_flops * iters
     total_read = leaf.bytes_read * iters
     total_written = leaf.bytes_written * iters
-    v += [log2(1 + total_flops), log2(1 + leaf.bytes_read),
-          log2(1 + leaf.bytes_written), log2(1 + total_read),
-          log2(1 + total_written), float(leaf.buffers_read),
-          float(leaf.buffers_written),
-          total_flops / (total_read + total_written + 1),
-          leaf_index / n_leaf]
+    try:
+        v += [log2(1 + total_flops), log2(1 + leaf.bytes_read),
+              log2(1 + leaf.bytes_written), log2(1 + total_read),
+              log2(1 + total_written), float(leaf.buffers_read),
+              float(leaf.buffers_written),
+              total_flops / (total_read + total_written + 1),
+              leaf_index / n_leaf]
+    except OverflowError as e:  # a count past the float range
+        raise ValidationError(f"leaf {leaf_index}: {e}") from e
     return np.array(v, dtype=np.float64)
 
 

@@ -8,7 +8,7 @@ then each edge's shape; `Dfg.validate` resolves the edges to positions
 (duplicate id, unknown end), builds the CSR successor index by counting and
 rejects a cycle. `load_programs` splits the sidecar IR into blocks, checked
 in one tree walk by `parse_program` (syntax, values, nesting, leaf count)
-and then by `build_compact_ast` (extent products).
+and then by `build_compact_ast` (extent products, counts past a float).
 
 A `Dfg` holds columns over node positions; a node split k ways stays one
 position of width k (sub-nodes `id#0` .. `id#k-1`) that shares the index,
@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import costmodel, features
 from .errors import (CycleDetected, InvalidDevice, ParseError, TpcostError,
                      ValidationError, json_int, json_list, json_number,
-                     json_str, read_json, read_text)
+                     json_object, json_str, read_json, read_text)
 from .features import CompactAst, build_compact_ast
 from .ir import MAX_LEAVES_DEFAULT, parse_program
 
@@ -80,7 +80,8 @@ class Dfg:
         return self
 
     def _graph(self) -> _Index:
-        """The index, built once; ValidationError for a bad id or edge."""
+        """The index, built once; ValidationError for a duplicate id or an
+        edge end that is not a node's id string (1 and ["a"] are unknown)."""
         if self._index is not None:
             return self._index
         ids, pairs = self._ids, self._pairs
@@ -88,12 +89,11 @@ class Dfg:
         if len(position) != len(ids):
             p = next(p for p, i in enumerate(ids) if position[i] != p)
             raise ValidationError(f"duplicate node ids: '{ids[p]}' (node {p})")
-        src = [position.get(str(a), -1) for a, _ in pairs]
-        dst = [position.get(str(b), -1) for _, b in pairs]
+        src = [position.get(a, -1) if type(a) is str else -1 for a, _ in pairs]
+        dst = [position.get(b, -1) if type(b) is str else -1 for _, b in pairs]
         if -1 in src or -1 in dst:
             e = next(e for e, ends in enumerate(zip(src, dst)) if -1 in ends)
-            raise ValidationError(
-                f"edge {e} {tuple(map(str, pairs[e]))}: unknown node")
+            raise ValidationError(f"edge {e} {tuple(pairs[e])}: unknown node")
         # a counting sort by source keeps each node's successors in order
         start, deg = [0] * (len(ids) + 1), [0] * len(ids)
         for s, t in zip(src, dst):
@@ -259,9 +259,10 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
 
 
 def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
-    """Graph JSON: nodes carry id/tir_key/device/gap_s/duration_s/program_ref
-    (typed by the errors.py checkers, times >= 0), edges are [from, to]
-    lists. Returns the validated graph and the tir_key -> program_ref map."""
+    """Graph JSON: node objects carry id/tir_key/device/gap_s/duration_s/
+    program_ref (typed by the errors.py checkers, times >= 0); edges are
+    [from, to] lists of node-id strings. Returns the validated graph and
+    the tir_key -> program_ref map."""
     data = read_json(path)
     entries = data.get("nodes", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
@@ -272,6 +273,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
     key_to_ref: dict[str, str] = {}
     for index, entry in enumerate(entries):
         try:
+            entry = json_object(entry, "node")
             ids[index] = json_str(entry["id"], "id")
             keys[index] = key = json_str(entry["tir_key"], "tir_key")
             durations[index] = json_number(entry.get("duration_s", 0.0),
@@ -283,7 +285,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
                     key, json_str(ref, "program_ref")) != ref:
                 raise ValidationError(f"tir_key '{key}' maps to multiple "
                                       f"programs")
-        except (KeyError, TypeError, ValidationError) as e:
+        except (KeyError, ValidationError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else e
             raise ValidationError(f"{path}: node {index}: {what}") from e
     if not entries:
@@ -324,7 +326,7 @@ def load_programs(path: str | Path,
             col = e.col + (start - text.rfind("\n", 0, start) - 1
                            if e.line == 1 else 0)
             raise ValidationError(f"{path}:{line}:{col}: {e.message}") from e
-        except (TpcostError, OverflowError) as e:
+        except TpcostError as e:
             first = start + len(chunk) - len(chunk.lstrip())
             line = text.count("\n", 0, first) + 1
             raise ValidationError(f"{path}:{line}: {e}") from e

@@ -539,6 +539,54 @@ def test_bad_splits_file_is_input_error(workdir, tmp_path, capsys, splits,
                          splits=path, epochs=1) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value", [[1, 2], "x", 5, None],
+                         ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("where", ["dataset-line", "graph-node",
+                                   "catalog-entry", "splits", "rules"])
+def test_entry_that_is_not_an_object_is_input_error(workdir, tmp_path, capsys,
+                                                    where, value):
+    """A dataset line, graph node or catalog entry, or a whole splits or
+    rules document, that is not a JSON object: exit 2, naming the file and
+    the place, in tpcost's words and not in Python's."""
+    programs = tmp_path / "programs.ir"
+    programs.write_text(IR_OK, encoding="utf-8")
+    lines = (workdir / "synth" / "dataset.jsonl").read_text().splitlines()
+    catalog = json.loads((workdir / "synth" / "devices.json").read_text())
+    graph = copy.deepcopy(GRAPH)
+    keys = {"dataset": tmp_path / "ds.jsonl",
+            "devices": tmp_path / "devices.json",
+            "checkpoint": workdir / "train" / "checkpoint.npz",
+            "graph": tmp_path / "graph.json", "programs": programs,
+            "device": "synth0"}
+    command, key, place = {
+        "dataset-line": ("predict", "dataset", ":3: "),
+        "graph-node": ("replay", "graph", ": node 1: "),
+        "catalog-entry": ("predict", "devices", ": entry 1: "),
+        "splits": ("train", "splits", ": splits "),
+        "rules": ("replay", "rules", ": rules "),
+    }[where]
+    if where == "dataset-line":
+        lines[2] = json.dumps(value)
+    elif where == "graph-node":
+        graph["nodes"][1] = value
+    elif where == "catalog-entry":
+        catalog.append(value)
+    else:
+        keys[key] = tmp_path / f"{key}.json"
+        keys[key].write_text(json.dumps(value), encoding="utf-8")
+    keys["dataset"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    keys["devices"].write_text(json.dumps(catalog), encoding="utf-8")
+    keys["graph"].write_text(json.dumps(graph), encoding="utf-8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()),
+                   encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 command]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{keys[key]}{place}" in err and "JSON object" in err
+    assert "indices must be integers" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("catalog, message", [
     ({"name": "synth0"}, "JSON list"),
     (["synth0"], "entry 0"),

@@ -574,6 +574,9 @@ def test_checkpoint_with_mape_space_key_still_loads(tmp_path, rng):
     lambda m: {**m, "config": {**m["config"], "lr": 10 ** 400}},
     lambda m: {**m, "normalizer": {**m["normalizer"], "lambda_bc": "x"}},
     lambda m: {**m, "normalizer": {**m["normalizer"], "fitted": 1}},
+    # the version is the JSON integer 1, and true == 1.0 == 1 in Python
+    lambda m: {**m, "version": True},
+    lambda m: {**m, "version": 1.0},
 ])
 def test_checkpoint_meta_that_does_not_fit_is_rejected(tmp_path, edit):
     # the tensor checksum cannot see the metadata: a config that passes

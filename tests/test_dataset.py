@@ -302,7 +302,8 @@ def test_jsonl_float_precision(tmp_path):
     d = json.loads(line)
     assert d["latency_s"] == ds.samples[0].latency_s  # lossless round-trip
     rendered = line.split("\"latency_s\":")[1].rstrip("}")
-    assert rendered == format(ds.samples[0].latency_s, ".17g")
+    assert rendered == repr(ds.samples[0].latency_s)  # shortest exact repr
+    assert float(rendered) == ds.samples[0].latency_s
 
 
 _NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
@@ -384,13 +385,14 @@ def test_jsonl_non_finite_latency_names_line(tmp_path, text):
 
 
 def test_jsonl_integral_latency_loads(tmp_path):
-    # `_fmt` writes a whole-number latency without a decimal point
+    # older files wrote a whole-number latency without a decimal point
     ds = generate_synthetic(1, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
                             seed=2)
     ds.samples[0].latency_s = 1.0
+    line = sample_to_line(ds.samples[0])
+    head = line[:line.index("\"latency_s\":")]
     path = tmp_path / "ds.jsonl"
-    save_dataset(ds, path)
-    assert "\"latency_s\":1}" in path.read_text(encoding="utf-8")
+    path.write_text(f"{head}\"latency_s\":1}}\n", encoding="utf-8")
     assert load_dataset(path).samples == ds.samples
 
 
@@ -399,3 +401,49 @@ def test_jsonl_non_object_line(tmp_path):
     path.write_text("[1, 2]\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=":1:"):
         load_dataset(path)
+
+
+def test_jsonl_round_trip_is_exact(tmp_path):
+    ds = generate_synthetic(3, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    for s, latency in zip(ds.samples, (1.0, 5e-324, 0.1)):
+        s.latency_s = latency
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    loaded = load_dataset(path).samples
+    assert loaded == ds.samples
+    assert [s.latency_s.hex() for s in loaded] == [
+        "0x1.0000000000000p+0", "0x0.0000000000001p-1022",
+        "0x1.999999999999ap-4"]
+
+
+@pytest.mark.parametrize("latency", [math.nan, math.inf])
+def test_jsonl_non_finite_latency_is_not_written(tmp_path, latency):
+    ds = generate_synthetic(1, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=2)
+    ds.samples[0].latency_s = latency
+    with pytest.raises(ValidationError, match="non-finite"):
+        save_dataset(ds, tmp_path / "ds.jsonl")
+
+
+def test_jsonl_17_digit_file_loads(tmp_path):
+    # the format older versions wrote: 17 significant digits, 0.0 as 0
+    ds = generate_synthetic(20, [DEFAULT_SYNTH_DEVICE], SynthOracleConfig(),
+                            seed=4)
+
+    def old_line(s):
+        def numbers(values):
+            return "[" + ",".join(format(v, ".17g") for v in values) + "]"
+        vectors = "[" + ",".join(numbers(row)
+                                 for row in s.compact.leaf_vectors) + "]"
+        assert ",0," in vectors or ",0]" in vectors
+        return (f'{{"id":"{s.id}","task_id":"{s.task_id}",'
+                f'"model_id":"{s.model_id}","device_id":"{s.device_id}",'
+                f'"n_leaf":{s.compact.n_leaf},"vectors":{vectors},'
+                f'"ordering":{list(s.compact.ordering)},'
+                f'"serialized":{list(s.compact.serialized)},'
+                f'"latency_s":{format(s.latency_s, ".17g")}}}')
+    path = tmp_path / "ds.jsonl"
+    path.write_text("".join(old_line(s) + "\n" for s in ds.samples),
+                    encoding="utf-8")
+    assert load_dataset(path).samples == ds.samples

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from tpcost.errors import (ValidationError, json_int, json_list, json_number,
-                           json_str)
+                           json_object, json_str)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tpcost"
 
@@ -101,6 +101,26 @@ def test_list_entries_are_checked_and_converted():
             json_list(value, "v", json_int)
 
 
+@pytest.mark.parametrize("value", [[1, 2], "x", 5, None, True])
+def test_entry_is_an_object(value):
+    assert json_object({"a": 1}, "node") == {"a": 1}
+    with pytest.raises(ValidationError,
+                       match=r"^node must be a JSON object, got "):
+        json_object(value, "node")
+
+
+def test_shape_error_shows_the_start_of_a_long_value():
+    # a rejected value may be a whole document
+    with pytest.raises(ValidationError) as info:
+        json_object(["x"] * 20000, "splits")
+    assert str(info.value) == ("splits must be a JSON object, got ['x', 'x', "
+                               "'x', 'x', 'x', 'x', ...]")
+    with pytest.raises(ValidationError) as info:
+        json_list({str(i): i for i in range(20000)}, "edges")
+    assert str(info.value) == ("edges must be a list, got {'0': 0, '1': 1, "
+                               "'10': 10, '100': 100, ...}")
+
+
 # The hand-rolled JSON type idioms that the checkers above replace, such as
 # `type(v) is not int` and `type(v) not in (int, float)`
 _IDIOMS = re.compile(
@@ -118,3 +138,19 @@ def test_json_type_idioms_live_only_in_errors_py():
     for idiom in ("type(d['n']) is not int", "type(v) not in (int, float)",
                   "type(x) is float", "type(k) in (int, float)"):
         assert _IDIOMS.search(idiom), idiom
+
+
+# An `except` that names TypeError, the path by which Python's own text
+# ("string indices must be integers") reached an input-error message
+_TYPE_ERROR_CATCH = re.compile(r"except\b[^:]*\bTypeError\b")
+
+
+def test_no_except_clause_catches_type_error():
+    """A loader checks an entry's shape with json_object instead."""
+    offenders = [f"{path.name}: {match.group()}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for match in _TYPE_ERROR_CATCH.finditer(path.read_text())]
+    assert offenders == []
+    for clause in ("except TypeError:", "except (KeyError, TypeError) as e:",
+                   "except (ValueError,\n        TypeError):"):
+        assert _TYPE_ERROR_CATCH.search(clause), clause

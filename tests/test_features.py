@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import rand_program
-from tpcost.errors import LeafCountExceeded
+from tpcost.errors import LeafCountExceeded, ValidationError
 from tpcost.features import (MARKER, N_ENTRY, CompactAst, DeviceSpec,
                              build_compact_ast, compute_vector, device_vector,
-                             encode_input, positional_encoding)
+                             encode_input, load_device_catalog,
+                             positional_encoding)
 from tpcost.ir import ComputeStats, LoopInfo, parse_program
 
 T4 = DeviceSpec(name="t4", clock_mhz=1590, mem_gb=16, bandwidth_gbps=320,
@@ -128,8 +130,17 @@ def test_compute_vector_leaf_fraction_only_difference():
 
 def test_compute_vector_overflow():
     loops = [LoopInfo("a", 2 ** 32), LoopInfo("b", 2 ** 31)]
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValidationError):
         compute_vector(ComputeStats(fma_count=1), loops, 0, 1)
+
+
+@pytest.mark.parametrize("stats", [
+    ComputeStats(fma_count=10 ** 400),  # flops per byte past the float range
+    ComputeStats(fma_count=1, buffers_read=10 ** 400),
+])
+def test_compute_vector_count_too_large_for_a_float(stats):
+    with pytest.raises(ValidationError, match="^leaf 2: "):
+        compute_vector(stats, [LoopInfo("i", 4)], 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +219,13 @@ def test_encode_device_independence(rng):
     b = encode_input(compact, other)
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.device_vector, b.device_vector)
+
+
+def test_catalog_entry_without_a_field_names_entry_and_field(tmp_path):
+    path = tmp_path / "devices.json"
+    path.write_text(json.dumps([{"name": "d", "mem_gb": 1,
+                                 "bandwidth_gbps": 1, "cores": 1}]),
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_device_catalog(path)
+    assert str(info.value) == f"{path}: entry 0: missing field 'clock_mhz'"

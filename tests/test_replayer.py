@@ -517,6 +517,21 @@ def test_load_programs(tmp_path):
     assert programs["small"].n_leaf == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    ("for i in 0..4294967296 { for j in 0..2147483648 { compute c { fma=1 } "
+     "} }", "extent product 9223372036854775808 exceeds 2^62"),
+    (f"compute c {{ fma=1 buffers_read=1{'0' * 400} }}", "leaf 0: "),
+])
+def test_load_programs_names_line_of_a_number_past_the_float_range(
+        tmp_path, body, message):
+    path = tmp_path / "programs.ir"
+    path.write_text(f"program a {{ compute c {{ fma=1 }} }}\n\nprogram b "
+                    f"{{ {body} }}\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_programs(path)
+    assert str(info.value).startswith(f"{path}:3: {message}")
+
+
 def _split_programs_reference(text):
     """The character loop `_split_programs` replaced."""
     boundaries = []
@@ -658,13 +673,21 @@ def _node(node_id):
      "edges[1] must be a [from, to] list, not ['a']"),
     (["a"], [["a", "a"], "ab"], ValidationError,
      "edges[1] must be a [from, to] list, not 'ab'"),
-    (["a", "b"], [["a", "b"], [1, "b"], ["b", "q"]], ValidationError,
-     "edge 1 ('1', 'b'): unknown node"),
-    (["a"], [[["a"], "a"]], ValidationError,
-     "edge 0 (\"['a']\", 'a'): unknown node"),
-    # node ids are JSON strings; edge ends are matched by their text
-    (["1", "2"], [[1, 2], [2, "1"]], CycleDetected,
-     "graph has a dependency cycle"),
+    # node ids are JSON strings; an edge end is matched exactly, so a
+    # number or a list is an unknown node (ids kept from when ends were
+    # matched by their text)
+    pytest.param(["a", "b"], [["a", "b"], [1, "b"], ["b", "q"]],
+                 ValidationError, "edge 1 (1, 'b'): unknown node",
+                 id="nodes5-edges5-ValidationError-edge 1 ('1', 'b'): "
+                    "unknown node"),
+    pytest.param(["a"], [[["a"], "a"]], ValidationError,
+                 "edge 0 (['a'], 'a'): unknown node",
+                 id="nodes6-edges6-ValidationError-edge 0 (\"['a']\", 'a'): "
+                    "unknown node"),
+    pytest.param(["1", "2"], [[1, 2], [2, "1"]], ValidationError,
+                 "edge 0 (1, 2): unknown node",
+                 id="nodes7-edges7-CycleDetected-graph has a dependency "
+                    "cycle"),
     (["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "c"]], CycleDetected,
      "graph has a dependency cycle"),
 ])
