@@ -572,8 +572,7 @@ def main(argv=None) -> int:
         code = handler(args, config, run)
         run.finalize()
         return code
-    except (TpcostError, OSError, OverflowError) as e:
-        # OverflowError: synth_latency's math.exp, for a large noise_sigma
+    except (TpcostError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive

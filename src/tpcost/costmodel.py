@@ -9,11 +9,13 @@ and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import operator
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -195,43 +197,53 @@ class _GroupCache:
         return self.x.shape[1]
 
 
-def _forward_group(t: nn.FlatTensors, config: CostModelConfig,
+# attention_fwd's parameter order, and attention_bwd's gradient keys
+_ATTN = ("Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo")
+_NORM = ("g", "b")
+
+
+@functools.cache
+def _layer(prefix: str, parts: tuple[str, ...] = ("W", "b")):
+    """Reads the tensors `prefix.part` of one layer from a name -> view dict
+    in one call. Cached per layer, so a pass builds no tensor names."""
+    return operator.itemgetter(*(f"{prefix}.{part}" for part in parts))
+
+
+def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
                    indices: list[int], x: np.ndarray,
                    v: np.ndarray) -> tuple[np.ndarray, _GroupCache]:
-    h, _ = nn.linear_fwd(x, t["input.W"], t["input.b"])
+    """One leaf-count group through the network; `t` maps tensor names to
+    the parameter views."""
+    h, _ = nn.linear_fwd(x, *_layer("input")(t))
     layer_caches = []
     for i in range(config.n_layers):
         pre = f"enc{i}"
         attn_out, c_attn = nn.attention_fwd(
-            h, t[f"{pre}.attn.Wq"], t[f"{pre}.attn.bq"],
-            t[f"{pre}.attn.Wk"], t[f"{pre}.attn.bk"],
-            t[f"{pre}.attn.Wv"], t[f"{pre}.attn.bv"],
-            t[f"{pre}.attn.Wo"], t[f"{pre}.attn.bo"], config.n_heads)
+            h, *_layer(f"{pre}.attn", _ATTN)(t), config.n_heads)
         r1 = h + attn_out
-        h1, c_ln1 = nn.layernorm_fwd(r1, t[f"{pre}.ln1.g"], t[f"{pre}.ln1.b"])
-        f_pre, _ = nn.linear_fwd(h1, t[f"{pre}.ffn.h.W"], t[f"{pre}.ffn.h.b"])
+        h1, c_ln1 = nn.layernorm_fwd(r1, *_layer(f"{pre}.ln1", _NORM)(t))
+        f_pre, _ = nn.linear_fwd(h1, *_layer(f"{pre}.ffn.h")(t))
         f_act, ffn_mask = nn.relu_fwd(f_pre)
-        f_out, _ = nn.linear_fwd(f_act, t[f"{pre}.ffn.o.W"], t[f"{pre}.ffn.o.b"])
+        f_out, _ = nn.linear_fwd(f_act, *_layer(f"{pre}.ffn.o")(t))
         r2 = h1 + f_out
-        h2, c_ln2 = nn.layernorm_fwd(r2, t[f"{pre}.ln2.g"], t[f"{pre}.ln2.b"])
+        h2, c_ln2 = nn.layernorm_fwd(r2, *_layer(f"{pre}.ln2", _NORM)(t))
         layer_caches.append((c_attn, c_ln1, h1, ffn_mask, f_act, c_ln2))
         h = h2
     bsz, length, dim = h.shape
     flat = h.reshape(bsz, length * dim)
-    z_x, _ = nn.linear_fwd(flat, t[f"leaf_embed.{length}.W"],
-                           t[f"leaf_embed.{length}.b"])
-    dev_pre, _ = nn.linear_fwd(v, t["dev.hidden.W"], t["dev.hidden.b"])
+    z_x, _ = nn.linear_fwd(flat, *_layer(f"leaf_embed.{length}")(t))
+    dev_pre, _ = nn.linear_fwd(v, *_layer("dev.hidden")(t))
     z_v, dev_mask = nn.relu_fwd(dev_pre)
-    zp, _ = nn.linear_fwd(z_v, t["dev.proj.W"], t["dev.proj.b"])
+    zp, _ = nn.linear_fwd(z_v, *_layer("dev.proj")(t))
     z = z_x * zp
     u = z
     dec_caches = []
     for i in range(len(config.decoder_dims)):
-        lin, _ = nn.linear_fwd(u, t[f"dec.{i}.W"], t[f"dec.{i}.b"])
+        lin, _ = nn.linear_fwd(u, *_layer(f"dec.{i}")(t))
         act, mask = nn.relu_fwd(lin)
         dec_caches.append((u, mask))
         u = act
-    out, _ = nn.linear_fwd(u, t["dec.out.W"], t["dec.out.b"])
+    out, _ = nn.linear_fwd(u, *_layer("dec.out")(t))
     return out[:, 0], _GroupCache(
         indices=indices, x=x, v=v, layers=layer_caches, flat=flat, z_x=z_x,
         dev_mask=dev_mask, z_v=z_v, zp=zp, z=z, dec=dec_caches, u_last=u)
@@ -258,9 +270,14 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
     caches: list[_GroupCache] = []
     for n_leaf in sorted(groups):
         idx = groups[n_leaf]
-        x = np.stack([inputs[i].matrix for i in idx])
-        v = np.stack([inputs[i].device_vector for i in idx])
-        pred[idx], cache = _forward_group(params.tensors, config, idx, x, v)
+        if len(idx) == 1:  # a view of the one input, not a copy
+            x = inputs[idx[0]].matrix[None]
+            v = inputs[idx[0]].device_vector[None]
+        else:
+            x = np.stack([inputs[i].matrix for i in idx])
+            v = np.stack([inputs[i].device_vector for i in idx])
+        pred[idx], cache = _forward_group(params.tensors.views, config, idx,
+                                         x, v)
         z_x_all[idx] = cache.z_x
         z_all[idx] = cache.z
         caches.append(cache)
@@ -274,28 +291,34 @@ def forward(params: CostModelParams,
     return pred, latents
 
 
-def _linear_grad(t: nn.FlatTensors, grads: nn.FlatTensors, name: str,
-                 dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _linear_grad(t: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                 name: str, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Backward through linear layer `name`: adds its weight and bias
-    gradients to `grads` and returns the input gradient."""
-    dx, dw, db = nn.linear_bwd(dy, x, t[f"{name}.W"])
-    grads[f"{name}.W"] += dw
-    grads[f"{name}.b"] += db
+    gradients to their views in `grads` and returns the input gradient."""
+    get = _layer(name)
+    (w, _), (gw, gb) = get(t), get(grads)
+    dx, dw, db = nn.linear_bwd(dy, x, w)
+    gw += dw
+    gb += db
     return dx
 
 
-def _layernorm_grad(t: nn.FlatTensors, grads: nn.FlatTensors, name: str,
-                    dy: np.ndarray, cache) -> np.ndarray:
-    dx, dg, db = nn.layernorm_bwd(dy, cache, t[f"{name}.g"])
-    grads[f"{name}.g"] += dg
-    grads[f"{name}.b"] += db
+def _layernorm_grad(t: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                    name: str, dy: np.ndarray, cache) -> np.ndarray:
+    get = _layer(name, _NORM)
+    (g, _), (gg, gb) = get(t), get(grads)
+    dx, dg, db = nn.layernorm_bwd(dy, cache, g)
+    gg += dg
+    gb += db
     return dx
 
 
-def _backward_group(t: nn.FlatTensors, config: CostModelConfig,
+def _backward_group(t: dict[str, np.ndarray], config: CostModelConfig,
                     cache: _GroupCache, dpred: np.ndarray,
                     dz_extra: np.ndarray | None,
-                    grads: nn.FlatTensors) -> None:
+                    grads: dict[str, np.ndarray]) -> None:
+    """Adds one group's gradients to the views `grads`; `t` maps tensor
+    names to the parameter views."""
     du = _linear_grad(t, grads, "dec.out", dpred[:, None], cache.u_last)
     for i in reversed(range(len(config.decoder_dims))):
         u_in, mask = cache.dec[i]
@@ -316,11 +339,12 @@ def _backward_group(t: nn.FlatTensors, config: CostModelConfig,
         dh1 = dr2 + _linear_grad(t, grads, f"{pre}.ffn.h",
                                  nn.relu_bwd(dfact, ffn_mask), h1)
         dr1 = _layernorm_grad(t, grads, f"{pre}.ln1", dh1, c_ln1)
-        dh_attn, attn_grads = nn.attention_bwd(
-            dr1, c_attn, t[f"{pre}.attn.Wq"], t[f"{pre}.attn.Wk"],
-            t[f"{pre}.attn.Wv"], t[f"{pre}.attn.Wo"], config.n_heads)
-        for key, value in attn_grads.items():
-            grads[f"{pre}.attn.{key}"] += value
+        attn = _layer(f"{pre}.attn", _ATTN)
+        wq, _, wk, _, wv, _, wo, _ = attn(t)
+        dh_attn, attn_grads = nn.attention_bwd(dr1, c_attn, wq, wk, wv, wo,
+                                               config.n_heads)
+        for key, g in zip(_ATTN, attn(grads)):
+            g += attn_grads[key]
         dh = dr1 + dh_attn
     _linear_grad(t, grads, "input", dh, cache.x)
 
@@ -456,15 +480,19 @@ def loss_finetune(pred, y, zs, zt,
 
 def backward(params: CostModelParams, batch: list[EncodedInput],
              targets, config: CostModelConfig, offset: float = 0.0,
-             target_batch: list[EncodedInput] | None = None):
+             target_batch: list[EncodedInput] | None = None,
+             grads: nn.FlatTensors | None = None):
     """Loss value and the gradient of the training objective w.r.t. every
-    parameter tensor, as a fresh FlatTensors laid out like params.tensors
-    (zero where the batch does not reach). `config` sets the objective
-    (loss_mode, lambda_hybrid, alpha_cmd, cmd_order); the architecture is
-    always params.config's. `offset` shifts predictions and targets together
-    so that the relative term's denominators are positive. With alpha_cmd >
-    0 and a target batch, the CMD term couples the two forward passes
-    through the shared encoder."""
+    parameter tensor, as a FlatTensors laid out like params.tensors (zero
+    where the batch does not reach). The gradient is accumulated into
+    `grads` when one is given, which must be all zero (a training loop
+    reuses one vector and re-zeroes it after each optimizer step, see
+    `nn.Adam.zero_grad`); otherwise into a fresh vector. `config` sets the
+    objective (loss_mode, lambda_hybrid, alpha_cmd, cmd_order); the
+    architecture is always params.config's. `offset` shifts predictions and
+    targets together so that the relative term's denominators are positive.
+    With alpha_cmd > 0 and a target batch, the CMD term couples the two
+    forward passes through the shared encoder."""
     targets = np.asarray(targets, dtype=np.float64)
     pred, latents, caches = _forward(params, batch)
     if pred.shape != targets.shape:
@@ -482,12 +510,14 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
         passes = [(caches, dpred, config.alpha_cmd * dzs),
                   (caches_t, np.zeros(pred_t.shape[0]),
                    config.alpha_cmd * dzt)]
-    grads = params.tensors.zeros_like()
+    if grads is None:
+        grads = params.tensors.zeros_like()
     for pass_caches, dp, dz in passes:
         for cache in pass_caches:
-            _backward_group(params.tensors, params.config, cache,
+            _backward_group(params.tensors.views, params.config, cache,
                             dp[cache.indices],
-                            None if dz is None else dz[cache.indices], grads)
+                            None if dz is None else dz[cache.indices],
+                            grads.views)
     return value, grads, {"pred": pred, "cmd": cmd_value}
 
 
@@ -595,6 +625,7 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
 
     opt = (nn.Adam if config.optimizer == "adam" else nn.Sgd)(
         weight_decay=config.weight_decay)
+    grads = params.tensors.zeros_like()  # one vector, re-zeroed every step
     rng = np.random.default_rng(config.seed)
     # source batches are bucketed by n_leaf, so pair each with target samples
     # of the same leaf count where possible; the CMD term then aligns the
@@ -616,14 +647,15 @@ def _fit(params: CostModelParams, config: CostModelConfig, train_samples,
                 take = min(config.batch_size, len(pool))
                 picked_idx = rng.choice(len(pool), size=take, replace=False)
                 target_batch = [pool[j] for j in np.sort(picked_idx)]
-            value, grads, aux = backward(params, batch, targets[batch_idx],
-                                         config, normalizer.loss_offset,
-                                         target_batch=target_batch)
+            value, _, aux = backward(params, batch, targets[batch_idx],
+                                     config, normalizer.loss_offset,
+                                     target_batch=target_batch, grads=grads)
             if not math.isfinite(value):
                 raise NonFiniteLoss(epoch)
             losses.append(value)
             cmd_values.append(aux["cmd"])
             opt.step(params.tensors, grads, lr)
+            opt.zero_grad(grads)
         # one check per epoch: a step can overflow with a finite loss
         if not np.isfinite(params.tensors.flat).all():
             raise NonFiniteLoss(epoch)

@@ -119,6 +119,15 @@ class BoxCoxNormalizer:
         """Model space -> original scale. An output with no positive
         preimage (lambda*t + 1 <= 0) decodes to +inf; a scalar gives a
         float."""
+        if isinstance(e, float):  # one prediction: the same ufuncs, no arrays
+            self._check()
+            t = e * self.t_std + self.t_mean
+            if abs(self.lambda_bc) < _LAMBDA_ZERO_EPS:
+                return float(np.exp(t) - self.shift)
+            base = self.lambda_bc * t + 1.0
+            if base <= 0:
+                return math.inf
+            return float(np.power(base, 1.0 / self.lambda_bc) - self.shift)
         t = np.asarray(e, dtype=np.float64) * self.t_std + self.t_mean
         out_of_range = (abs(self.lambda_bc) >= _LAMBDA_ZERO_EPS) & (
             self.lambda_bc * t + 1.0 <= 0)
@@ -249,7 +258,9 @@ def _noise_seed(compact: CompactAst, device_name: str, seed: int) -> int:
 def synth_latency(compact: CompactAst, device: DeviceSpec,
                   cfg: SynthOracleConfig) -> float:
     """Roofline-style latency: per leaf the max of compute and memory time,
-    plus a fixed per-leaf overhead, with optional log-normal noise."""
+    plus a fixed per-leaf overhead, with optional log-normal noise. A noise
+    factor that takes a positive latency to 0 or past the largest float
+    raises ValidationError."""
     cfg.validate()
     if device.peak_fp32_gflops <= 0:
         raise MissingPeakFlops(
@@ -268,9 +279,17 @@ def synth_latency(compact: CompactAst, device: DeviceSpec,
         else:
             p = 1.0
         total += max(flops / (flops_rate * p), nbytes / bytes_rate)
-    if cfg.noise_sigma > 0:
+    if cfg.noise_sigma > 0 and total > 0:
         rng = np.random.default_rng(_noise_seed(compact, device.name, cfg.seed))
-        total *= math.exp(cfg.noise_sigma * rng.standard_normal())
+        exponent = cfg.noise_sigma * rng.standard_normal()
+        try:
+            total *= math.exp(exponent)
+        except OverflowError:
+            total = math.inf
+        if not 0.0 < total < math.inf:
+            raise ValidationError(
+                f"noise_sigma = {cfg.noise_sigma!r} takes the latency out of "
+                f"the float range (noise factor exp({exponent:.6g}))")
     return float(total)
 
 
@@ -396,6 +415,7 @@ def generate_synthetic(n: int, devices: list[DeviceSpec],
         raise ValidationError("n must be >= 1")
     if not devices:
         raise ValidationError("need at least one device")
+    cfg.validate()  # so that a ValidationError in the loop is a sample's
     rng = np.random.default_rng(seed)
     samples: list[Sample] = []
     task_idx = 0
@@ -410,7 +430,10 @@ def generate_synthetic(n: int, devices: list[DeviceSpec],
                                    MAX_LEAVES_DEFAULT)
             compact = build_compact_ast(program)
             device = devices[i % len(devices)]
-            latency = synth_latency(compact, device, cfg)
+            try:
+                latency = synth_latency(compact, device, cfg)
+            except ValidationError as e:
+                raise ValidationError(f"sample s{i}: {e}") from e
             samples.append(Sample(id=f"s{i}", task_id=f"t{task_idx}",
                                   model_id=model_id, device_id=device.name,
                                   compact=compact, latency_s=latency))

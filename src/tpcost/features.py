@@ -230,6 +230,10 @@ def build_compact_ast(ast: ProgramAst,
                       serialized=tuple(serialized), n_leaf=n_leaf)
 
 
+_PE_EXPONENTS = 2.0 * np.arange(N_ENTRY // 2, dtype=np.float64) / N_ENTRY
+_PE_DIVISOR_DEFAULT = THETA_DEFAULT ** _PE_EXPONENTS  # computed once
+
+
 def positional_encoding(compact: CompactAst,
                         theta: float = THETA_DEFAULT) -> np.ndarray:
     """Sinusoidal encoding of each leaf's serialized position.
@@ -240,8 +244,9 @@ def positional_encoding(compact: CompactAst,
     if theta <= 0:
         raise ValidationError("theta must be > 0")
     positions = np.asarray(compact.ordering, dtype=np.float64)[:, None]
-    exponents = 2.0 * np.arange(N_ENTRY // 2, dtype=np.float64) / N_ENTRY
-    angles = positions / theta ** exponents  # (n_leaf, N_ENTRY/2)
+    divisor = (_PE_DIVISOR_DEFAULT if theta == THETA_DEFAULT
+               else theta ** _PE_EXPONENTS)
+    angles = positions / divisor  # (n_leaf, N_ENTRY/2)
     pe = np.empty((compact.n_leaf, N_ENTRY), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)

@@ -58,3 +58,22 @@ def quantile_reference(y):
     """Rank-based mapping to standard normal (test-only reference)."""
     y = np.asarray(y, dtype=np.float64)
     return stats.norm.ppf((stats.rankdata(y) - 0.5) / len(y))
+
+
+def layernorm_textbook(x, g, b, eps=1e-5):
+    """Layer norm over the last axis through numpy's `mean`/`var`; returns
+    (y, xhat, inv). The package's one-pass form must match it bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return g * xhat + b, xhat, inv
+
+
+def layernorm_bwd_textbook(dy, xhat, inv, g):
+    """Backward of `layernorm_textbook` with `.mean`; returns (dx, dg, db)."""
+    dxhat = dy * g
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(range(dy.ndim - 1))
+    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)

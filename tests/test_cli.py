@@ -81,6 +81,16 @@ def test_unknown_config_key(tmp_path):
                  "synth"]) == EXIT_INPUT
 
 
+def test_synth_noise_out_of_float_range(tmp_path, capsys):
+    # exp(1000 z) overflows or underflows for most draws of z
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("n = 20\nnoise_sigma = 1000\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "synth"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "noise_sigma" in err and "sample s" in err
+
+
 def test_malformed_config_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just some words\n", encoding="utf-8")

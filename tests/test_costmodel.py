@@ -9,6 +9,7 @@ from checkpoint_meta import rewrite_meta
 from oracles import cmd_bruteforce
 
 from tpcost import costmodel as cm
+from tpcost import nn
 from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, Dataset, SynthOracleConfig,
                             generate_synthetic, split_dataset)
 from tpcost.errors import (CheckpointError, EmptyBatch, EmptySelection,
@@ -218,6 +219,34 @@ def test_duplicated_batch_same_gradients(rng):
     # every call returns a fresh flat vector laid out like the parameters
     assert grads1.layout == params.tensors.layout
     assert not np.shares_memory(grads1.flat, grads2.flat)
+
+
+@pytest.mark.parametrize("optimizer, weight_decay", [
+    ("adam", 0.0), ("adam", 0.01), ("sgd", 0.0), ("sgd", 0.01)])
+def test_reused_gradient_vector_matches_fresh_one(rng, optimizer,
+                                                  weight_decay):
+    # source buckets change from step to step, so leaf_embed tensors join
+    # the live set late; the CMD target batches mix leaf counts
+    config = replace(TINY, alpha_cmd=1.0, optimizer=optimizer,
+                     weight_decay=weight_decay)
+    params = cm.init_params(config)
+    opt = (nn.Adam if optimizer == "adam" else nn.Sgd)(
+        weight_decay=weight_decay)
+    grads = params.tensors.zeros_like()
+    for n_leaf in (1, 1, 3, 1, 2, 3, 2):
+        batch = rand_inputs(rng, 4, (n_leaf, n_leaf + 1))
+        target = rand_inputs(rng, 5)
+        y = rng.uniform(1.0, 2.0, size=4)
+        _, fresh, _ = cm.backward(params, batch, y, config,
+                                  target_batch=target)
+        _, reused, _ = cm.backward(params, batch, y, config,
+                                   target_batch=target, grads=grads)
+        assert reused is grads
+        assert not np.shares_memory(fresh.flat, grads.flat)
+        assert fresh.flat.tobytes() == grads.flat.tobytes()
+        opt.step(params.tensors, grads, 0.01)
+        opt.zero_grad(grads)
+        assert grads.flat.tobytes() == bytes(grads.flat.nbytes)  # all +0.0
 
 
 def test_params_are_views_into_one_vector():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_mle_lambda
@@ -64,6 +64,9 @@ LAMBDAS = (st.floats(-1e-9, 1e-9) | st.floats(-2.0, -1e-3)
 @given(lam=LAMBDAS, t_mean=st.floats(-20.0, 20.0),
        t_std=st.floats(1e-3, 10.0),
        e=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+# outputs whose np.exp / np.power overflows to +inf, next to finite ones
+@example(lam=0.0, t_mean=0.0, t_std=1.0, e=[800.0, -800.0, 0.5])
+@example(lam=1e-3, t_mean=0.0, t_std=10.0, e=[1e3, -1e3, -200.0])
 def test_decode_is_inf_exactly_without_preimage(lam, t_mean, t_std, e):
     norm = BoxCoxNormalizer(lambda_bc=lam, shift=0.0, fitted=True,
                             t_mean=t_mean, t_std=t_std)
@@ -76,12 +79,14 @@ def test_decode_is_inf_exactly_without_preimage(lam, t_mean, t_std, e):
     with np.errstate(over="ignore"):
         out = norm.decode(e)
         in_range = norm.inverse_transform(t[~no_preimage])
-        scalar = norm.decode(float(e[0]))
+        # one prediction, as a numpy scalar (what `predict` passes) or float
+        scalars = [norm.decode(v) for v in e] + [norm.decode(float(v))
+                                                 for v in e]
     assert out.shape == e.shape
     assert np.all(out[no_preimage] == np.inf)
     assert out[~no_preimage].tobytes() == in_range.tobytes()
-    assert type(scalar) is float
-    assert np.float64(scalar).tobytes() == out[0].tobytes()
+    assert all(type(scalar) is float for scalar in scalars)
+    assert np.array(scalars).tobytes() == np.tile(out, 2).tobytes()
 
 
 def test_fit_matches_grid_oracle_on_lognormal(rng):
