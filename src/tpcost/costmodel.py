@@ -860,8 +860,9 @@ def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = (), **low):
 
 def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
     """Inverse of `save_checkpoint`. Any malformed file, metadata block or
-    config, tensors that do not fit the config, or a normalizer field out of
-    range (a non-finite one, `t_std <= 0`, `shift < 0`) raise CheckpointError.
+    config, tensors that do not fit the config or hold a non-finite value,
+    or a normalizer field out of range (a non-finite one, `t_std <= 0`,
+    `shift < 0`) raise CheckpointError.
     Checkpoints written before the objective lost its `mape_space` option
     carry that config key; it is dropped."""
     try:
@@ -893,6 +894,8 @@ def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
     expected = itertools.islice(_tensor_shapes(config), len(tensors) + 1)
     if dict(expected) != {name: a.shape for name, a in tensors.items()}:
         raise CheckpointError("tensors do not match the config")
+    if bad := [name for name, a in tensors.items() if not np.isfinite(a).all()]:
+        raise CheckpointError(f"tensor '{bad[0]}' holds a non-finite value")
     params = CostModelParams(config=config, tensors=tensors)
     norm = None
     if meta["normalizer"] is not None:

@@ -182,8 +182,13 @@ def fit_boxcox(train_labels) -> BoxCoxNormalizer:
 
 
 def skewness(values) -> float:
-    """Fisher-Pearson sample skewness."""
-    return float(sstats.skew(np.asarray(values, dtype=np.float64)))
+    """Fisher-Pearson sample skewness; NaN for values that are all equal.
+    It does not change when the values are scaled, so they are first divided
+    by a power of two near their largest magnitude: other finite values give
+    a finite result."""
+    x = np.asarray(values, dtype=np.float64)
+    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
+    return float(sstats.skew(np.ldexp(x, -exponent)))
 
 
 # ---------------------------------------------------------------------------

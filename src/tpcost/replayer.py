@@ -15,16 +15,17 @@ position of width k (sub-nodes `id#0` .. `id#k-1`) that shares the index,
 so `simulate` does O(N*k + E*k) work for N nodes and E edges. Batched
 `dedup_predict` durations match `costmodel.predict` within 1e-12 relative.
 
-Scheduling policy: devices are scanned in ascending (deviceTime, index)
-order and the first one with a non-empty queue dispatches next; within a
-queue the node with the smallest (readyTime, id) runs. A node enters its
-device queue as soon as all predecessors have been dispatched; its actual
-start still waits for max(deviceTime, readyTime).
+Scheduling policy: of the devices with a non-empty queue, the one with the
+smallest (deviceTime, index) dispatches next; within a queue the node with
+the smallest (readyTime, id) runs. A node enters its device queue as soon as
+all predecessors have been dispatched; its actual start still waits for
+max(deviceTime, readyTime).
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -171,41 +172,32 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     for s, t in zip(graph.src, graph.dst):  # edges into each sub-node of t
         ref[t] += width[s]
     ready_time = [0.0] * len(devices)
-    # one slot per device that holds a (sub-)node, in ascending index order;
-    # a split node's devices d..d+k-1 are consecutive, and so are their slots
-    used = sorted({d + i for d, k in set(zip(devices, width))
-                   for i in range(k)})
-    slot = {d: s for s, d in enumerate(used)}
-    first_slot = [slot[d] for d in devices]  # by position
-    device_time = [0.0] * len(used)
-    # heap entries (readyTime, id, position): ids are unique, so the
-    # position never decides the order; one heap per slot
-    queues: list[list[tuple[float, str, int]]] = [[] for _ in used]
+    # per device that receives a (sub-)node: its clock and a heap of
+    # (readyTime, id, position); ids are unique, so the position never
+    # decides the order. `busy` holds (clock, device) for each device with
+    # work; a device's clock changes only while it is out of `busy`.
+    clock: defaultdict[int, float] = defaultdict(float)
+    queues: defaultdict[int, list[tuple[float, str, int]]] = defaultdict(list)
+    busy: list[tuple[float, int]] = []
 
     def release(p: int) -> None:  # every sub-node of p, with one ready time
-        q = first_slot[p]
-        if width[p] == 1:
-            heappush(queues[q], (ready_time[p], ids[p], p))
-        else:
-            for i, sub_id in enumerate(dfg._sub_ids(p)):
-                heappush(queues[q + i], (ready_time[p], sub_id, p))
+        for d, sub_id in enumerate(dfg._sub_ids(p), devices[p]):
+            if not (queue := queues[d]):
+                heappush(busy, (clock[d], d))
+            heappush(queue, (ready_time[p], sub_id, p))
 
     for p in [p for p, count in enumerate(ref) if count == 0]:
         release(p)
     schedule: dict[str, tuple[float, float]] = {}
-    slots = range(len(used))
-    while True:
-        pick = -1
-        for d in slots:  # smallest (deviceTime, index) with work
-            if queues[d] and (pick < 0 or device_time[d] < device_time[pick]):
-                pick = d
-        if pick < 0:
-            break
-        _, sub_id, p = heappop(queues[pick])
-        begin = max(device_time[pick], ready_time[p])
+    while busy:  # smallest (deviceTime, index) with work
+        now, d = heappop(busy)
+        _, sub_id, p = heappop(queue := queues[d])
+        begin = max(now, ready_time[p])
         end = begin + durations[p]
         schedule[sub_id] = (begin, end)
-        done = device_time[pick] = end + gaps[p]
+        done = clock[d] = end + gaps[p]
+        if queue:
+            heappush(busy, (done, d))
         for child in succ[start[p]:start[p + 1]]:
             ref[child] -= 1
             if done > ready_time[child]:
@@ -213,7 +205,7 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
             if ref[child] == 0:
                 release(child)
     # a device that holds no node keeps its clock at 0
-    clocks = device_time + [0.0] * (len(used) < n_devices)
+    clocks = [*clock.values()] + [0.0] * (len(clock) < n_devices)
     return SimResult(iteration_time=max(clocks), schedule=schedule)
 
 
@@ -244,7 +236,9 @@ def expand_device_parallel(dfg: Dfg, rules: dict[str, int]) -> Dfg:
 def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
                   device, normalizer, predictor=None) -> dict[str, float]:
     """Fill the duration column from one prediction per distinct tir_key:
-    one cost-model batch, or one `predictor(compact, device)` call per key."""
+    one cost-model batch, or one `predictor(compact, device)` call per key.
+    A NaN or negative duration raises ValidationError; +inf, which decode
+    returns for an output with no preimage, is kept."""
     keys = list(dict.fromkeys(dfg._keys))
     if missing := [key for key in keys if key not in programs]:
         raise ValidationError(f"no program for tir_key '{missing[0]}'")
@@ -254,6 +248,9 @@ def dedup_predict(dfg: Dfg, programs: dict[str, CompactAst], params,
     else:
         values = [float(predictor(programs[key], device)) for key in keys]
     durations = dict(zip(keys, values))
+    if bad := [key for key, value in durations.items() if not value >= 0]:
+        raise ValidationError(f"tir_key '{bad[0]}': predicted duration "
+                              f"{durations[bad[0]]!r} is not a time >= 0")
     dfg._durations = [durations[key] for key in dfg._keys]
     return durations
 

@@ -16,9 +16,9 @@ from checkpoint_meta import rewrite_meta
 from tpcost.cli import (_MODEL_KEYS, _ORACLE_KEYS, _SCHEMA, EXIT_INPUT,
                         EXIT_OK, EXIT_USAGE, load_run_config, main)
 from tpcost.costmodel import (CostModelConfig, encode_dataset, forward,
-                              init_params, save_checkpoint)
+                              init_params, load_checkpoint, save_checkpoint)
 from tpcost.dataset import SynthOracleConfig, fit_boxcox, load_dataset
-from tpcost.errors import TpcostError
+from tpcost.errors import CheckpointError, TpcostError
 from tpcost.features import load_device_catalog
 
 IR_OK = """program demo {
@@ -89,6 +89,19 @@ def test_synth_noise_out_of_float_range(tmp_path, capsys):
                  "synth"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "noise_sigma" in err and "sample s" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_synth_skewness_of_huge_finite_labels(tmp_path):
+    # labels past 1e154 overflow a sum of squares, not their skewness
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("n = 20\nnoise_sigma = 300\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "synth"]) == EXIT_OK
+    assert max(load_dataset(tmp_path / "o" / "dataset.jsonl").labels()) > 1e154
+    report = json.loads((tmp_path / "o" / "skew_report.json").read_text())
+    assert all(np.isfinite(report[k])
+               for k in ("skewness_raw", "skewness_boxcox"))
 
 
 def test_malformed_config_line(tmp_path):
@@ -1039,6 +1052,68 @@ def test_normalizer_out_of_range_is_input_error(workdir, tmp_path, capsys,
                  f"dataset = {workdir}/synth/dataset.jsonl\n"
                  f"devices = {workdir}/synth/devices.json\n"
                  f"checkpoint = {bad}\n", field)
+
+
+def test_non_finite_checkpoint_tensor_is_input_error(workdir, tmp_path,
+                                                    capsys):
+    params, norm = load_checkpoint(workdir / "train" / "checkpoint.npz")
+    names = list(params.tensors)
+    params.tensors[names[3]][0] = np.nan
+    params.tensors[names[-1]][0] = np.inf
+    save_checkpoint(tmp_path / "bad.npz", params, norm)
+    message = f"tensor '{names[3]}' holds a non-finite value"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path / "bad.npz")
+    _input_error(tmp_path, capsys, "predict",
+                 f"dataset = {workdir}/synth/dataset.jsonl\n"
+                 f"devices = {workdir}/synth/devices.json\n"
+                 f"checkpoint = {tmp_path}/bad.npz\n", message)
+
+
+@pytest.mark.parametrize("argv, keys, code, message", [
+    (["train"], {"splits": "{splits}", "epochs": "1"}, EXIT_OK, ""),
+    (["train"], {"epochs": "abc"}, EXIT_INPUT,
+     "{config}:4: bad value for 'epochs'"),
+    (["predict"], {"checkpoint": "{bare}"}, EXIT_INPUT,
+     "checkpoint has no fitted normalizer"),
+    (["eval", "--split", "holdout"], {"splits": "{splits}"}, EXIT_INPUT,
+     "split 'holdout' is empty"),
+], ids=["train-on-splits-file", "unparsable-value", "no-normalizer",
+        "empty-eval-split"])
+def test_cli_path_on_split_or_config_or_checkpoint(workdir, tmp_path, capsys,
+                                                   argv, keys, code, message):
+    """`argv` on the shared dataset and model, with config `keys` set; a
+    splits file from `dataset-split` and a checkpoint without a normalizer
+    are at hand."""
+    split_cfg = tmp_path / "split.cfg"
+    split_cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
+                         "split_seed = 4\n", encoding="utf-8")
+    assert main(["--config", str(split_cfg), "--out", str(tmp_path / "split"),
+                 "dataset-split"]) == EXIT_OK
+    params, _ = load_checkpoint(workdir / "train" / "checkpoint.npz")
+    save_checkpoint(tmp_path / "bare.npz", params)
+    config = tmp_path / "c.cfg"
+    names = {"splits": tmp_path / "split" / "splits.json",
+             "bare": tmp_path / "bare.npz", "config": config}
+    values = {"dataset": f"{workdir}/synth/dataset.jsonl",
+              "devices": f"{workdir}/synth/devices.json",
+              "checkpoint": f"{workdir}/train/checkpoint.npz",
+              **{k: v.format(**names) for k, v in keys.items()}}
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                      encoding="utf-8")
+    result = main(["--config", str(config), "--out", str(tmp_path / "o"),
+                   *argv])
+    err = capsys.readouterr().err
+    assert result == code, err
+    assert message.format(**names) in err and "Traceback" not in err
+    if code == EXIT_OK:  # the same split given inline trains the same model
+        del values["splits"]
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                          + "split_seed = 4\n", encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(tmp_path / "i"),
+                     "train"]) == EXIT_OK
+        assert (tmp_path / "o" / "checkpoint.npz").read_bytes() == \
+            (tmp_path / "i" / "checkpoint.npz").read_bytes()
 
 
 # ---------------------------------------------------------------------------

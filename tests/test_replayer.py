@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,8 +94,6 @@ def test_invalid_device():
 def test_single_device_work_conservation(rng):
     for _ in range(50):
         dfg, _ = rand_dag(rng, max_devices=1)
-        for node in dfg.nodes:
-            node.device = 0
         result = simulate(dfg, 1)
         expected = sum(n.duration for n in dfg.nodes) + \
             sum(n.gap for n in dfg.nodes)
@@ -150,6 +149,45 @@ def test_matches_bruteforce_oracle(rng):
                                                            n_devices)
         assert result.iteration_time == expected_time
         assert result.schedule == expected_schedule
+
+
+@st.composite
+def _tied_cases(draw):
+    """Graphs with split nodes over up to 16 devices, whose durations and
+    gaps are 0, 0.5 or 1: device clocks and ready times tie often, so the
+    device index and the node id decide the dispatch order. Ids are not in
+    position order."""
+    n_devices = draw(st.integers(1, 16))
+    rules = draw(st.dictionaries(st.sampled_from(["conv", "mm"]),
+                                 st.integers(1, min(4, n_devices)),
+                                 max_size=2))
+    n = draw(st.integers(1, 24))
+    names = draw(st.permutations(range(n)))
+    times = st.sampled_from([0.0, 0.5, 1.0])
+    nodes = []
+    for i in range(n):
+        op_class = draw(st.sampled_from(["conv", "mm", "io"]))
+        k = rules.get(op_class, 1)
+        nodes.append(DfgNode(f"n{names[i]}", f"{op_class}:x", draw(times),
+                             draw(times), draw(st.integers(0, n_devices - k))))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    edges = [(nodes[min(a, b)].id, nodes[max(a, b)].id)
+             for a, b in pairs if a != b]
+    return Dfg(nodes, edges), rules, n_devices
+
+
+@settings(max_examples=300)
+@given(_tied_cases())
+def test_dispatch_order_matches_oracle_when_times_tie(case):
+    dfg, rules, n_devices = case
+    out = expand_device_parallel(dfg, rules)
+    result = simulate(out, n_devices)
+    nodes = [(n.id, n.duration, n.gap, n.device) for n in out.nodes]
+    expected_time, expected_schedule = oracle_simulate(nodes, out.edges,
+                                                       n_devices)
+    assert result.iteration_time == expected_time
+    assert list(result.schedule.items()) == list(expected_schedule.items())
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +797,30 @@ def test_replay_model_chain_with_injected_oracle(tmp_path):
     result2 = replay_model(graph, programs, None, None, None, rules={},
                            predictor=doubled)
     assert result2.iteration_time == pytest.approx(0.012, rel=1e-12)
+
+
+@pytest.mark.parametrize("rules", [None, model_graph.SPLIT_RULES],
+                         ids=["no-rules", "rules"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_predicted_duration_must_be_a_time(tmp_path, rules, value):
+    """A NaN or negative prediction fails the replay with or without rules,
+    naming the first kernel key and the value; +inf, which decode returns
+    for an output with no preimage, replays to +inf."""
+    graph, programs = model_graph.write_model_graph(
+        tmp_path, n_nodes=200, n_kernels=20, extra_edges=50)
+    key = json.loads(graph.read_text())["nodes"][0]["tir_key"]
+
+    def replay():
+        return replay_model(graph, programs, None, None, None, rules=rules,
+                            predictor=lambda compact, device: value)
+
+    if value == math.inf:
+        assert replay().iteration_time == math.inf
+        return
+    with pytest.raises(ValidationError) as info:
+        replay()
+    assert str(info.value) == (f"tir_key '{key}': predicted duration "
+                               f"{value!r} is not a time >= 0")
 
 
 def test_replay_cost_follows_used_devices_not_the_largest_index(tmp_path):
