@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import (DegenerateLabels, DomainError, EmptyDataset,
                      MissingPeakFlops, NotFitted, ValidationError, json_int,
@@ -155,10 +154,42 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
+def _log_sum_exp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))), shifted by the maximum of a; the terms at the
+    maximum are counted rather than summed."""
+    a_max = np.max(a)
+    if a_max == -np.inf:  # every term is exp(-inf) = 0
+        return a_max
+    top = a == a_max
+    m = np.sum(top, dtype=np.float64)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
+def _boxcox_llf(lam: float, y: np.ndarray) -> float:
+    """Box-Cox profile log-likelihood (lam - 1) sum(log y) - n/2 log(var),
+    with the variance of (y^lam - 1)/lam taken in the log domain: for lam
+    != 0 it is the log of the variance of y^lam = exp(lam log y) less
+    2 log|lam|, so labels up to the largest float do not overflow."""
+    logy = np.log(y)
+    n = y.size
+    if lam == 0:
+        logvar = np.log(np.var(logy))
+    else:
+        logx = lam * logy
+        logmean = _log_sum_exp(logx) - math.log(n)
+        hi, lo = np.maximum(logx, logmean), np.minimum(logx, logmean)
+        with np.errstate(divide="ignore"):  # log|x - mean| is -inf at a tie
+            log_dev = hi + np.log1p(-np.exp(lo - hi))
+        logvar = (_log_sum_exp(2 * log_dev) - math.log(n)
+                  - 2 * math.log(abs(lam)))
+    return float((lam - 1) * np.sum(logy) - n / 2 * logvar)
+
+
 def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     """Maximum-likelihood Box-Cox fit via golden-section search on the
-    profile log-likelihood, followed by standardization of the transformed
-    labels."""
+    profile log-likelihood, computed in the log domain, followed by
+    standardization of the transformed labels."""
     y = np.asarray(train_labels, dtype=np.float64)
     if y.size < 2 or np.unique(y).size < 2:
         raise DegenerateLabels("need at least 2 distinct labels")
@@ -167,7 +198,7 @@ def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     shift = 1e-12 if np.any(y == 0) else 0.0
     shifted = y + shift
 
-    lam = _golden_section_max(lambda l: float(sstats.boxcox_llf(l, shifted)),
+    lam = _golden_section_max(lambda l: _boxcox_llf(l, shifted),
                               *_LAMBDA_RANGE, _LAMBDA_TOL)
     norm = BoxCoxNormalizer(lambda_bc=lam, shift=shift, fitted=True)
     t = norm.transform(y)
@@ -188,7 +219,13 @@ def skewness(values) -> float:
     a finite result."""
     x = np.asarray(values, dtype=np.float64)
     _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
-    return float(sstats.skew(np.ldexp(x, -exponent)))
+    x = np.ldexp(x, -exponent)
+    mean = np.mean(x)
+    d = x - mean
+    m2 = np.mean(d**2)
+    if m2 <= (np.finfo(np.float64).eps * mean)**2:
+        return math.nan
+    return float(np.mean(d**2 * d) / m2**1.5)
 
 
 # ---------------------------------------------------------------------------

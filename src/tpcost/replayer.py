@@ -139,11 +139,11 @@ class Dfg:
 
     def validate(self) -> None:
         """ValidationError for a duplicate id, an edge to an unknown node or
-        a negative time; CycleDetected for a dependency cycle."""
+        a negative or NaN time; CycleDetected for a dependency cycle."""
         graph = self._graph()
         if bad := [i for i, d, g in zip(self._ids, self._durations, self._gaps)
-                   if d < 0 or g < 0]:
-            raise ValidationError(f"node '{bad[0]}': negative time")
+                   if not d >= 0 or not g >= 0]:
+            raise ValidationError(f"node '{bad[0]}': negative or NaN time")
         if not graph.acyclic:
             raise CycleDetected("graph has a dependency cycle")
 
@@ -172,16 +172,16 @@ def simulate(dfg: Dfg, n_devices: int) -> SimResult:
     for s, t in zip(graph.src, graph.dst):  # edges into each sub-node of t
         ref[t] += width[s]
     ready_time = [0.0] * len(devices)
-    # per device that receives a (sub-)node: its clock and a heap of
-    # (readyTime, id, position); ids are unique, so the position never
-    # decides the order. `busy` holds (clock, device) for each device with
-    # work; a device's clock changes only while it is out of `busy`.
+    # per device with a (sub-)node: its clock and a heap of (readyTime, id,
+    # position), ids unique so the position never decides. `busy` holds
+    # (clock, device) per device with work; a clock changes only outside it.
     clock: defaultdict[int, float] = defaultdict(float)
     queues: defaultdict[int, list[tuple[float, str, int]]] = defaultdict(list)
     busy: list[tuple[float, int]] = []
 
     def release(p: int) -> None:  # every sub-node of p, with one ready time
-        for d, sub_id in enumerate(dfg._sub_ids(p), devices[p]):
+        subs = (ids[p],) if width[p] == 1 else dfg._sub_ids(p)
+        for d, sub_id in enumerate(subs, devices[p]):
             if not (queue := queues[d]):
                 heappush(busy, (clock[d], d))
             heappush(queue, (ready_time[p], sub_id, p))

@@ -1,15 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from oracles import grid_mle_lambda
 
-from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer, Dataset,
-                            SynthOracleConfig, fit_boxcox, generate_synthetic,
+from tpcost.dataset import (_LAMBDA_RANGE, _LAMBDA_TOL, DEFAULT_SYNTH_DEVICE,
+                            BoxCoxNormalizer, Dataset, SynthOracleConfig,
+                            _golden_section_max, fit_boxcox, generate_synthetic,
                             load_dataset, random_program, sample_to_line,
                             save_dataset, skewness, split_dataset,
                             synth_latency)
@@ -95,6 +101,72 @@ def test_fit_matches_grid_oracle_on_lognormal(rng):
     grid = grid_mle_lambda(y)
     assert abs(norm.lambda_bc - grid) <= 0.02
     assert -0.1 <= norm.lambda_bc <= 0.1
+
+
+def _lognormal_labels(n, log_mean, log_sigma, seed, zero):
+    """n labels exp(N(log_mean, log_sigma)), clipped to the finite floats;
+    with `zero`, the first label is 0."""
+    log_y = np.random.default_rng(seed).normal(log_mean, log_sigma, n)
+    y = np.exp(np.clip(log_y, -745.0, 709.0))
+    if zero:
+        y[0] = 0.0
+    return y
+
+
+_LABEL_SETS = dict(n=st.integers(2, 300), log_mean=st.floats(-600.0, 600.0),
+                   log_sigma=st.floats(0.01, 30.0),
+                   seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_LABEL_SETS)
+@example(n=40, log_mean=400.0, log_sigma=20.0, seed=1, zero=False)
+@example(n=40, log_mean=400.0, log_sigma=20.0, seed=2, zero=True)
+@example(n=5, log_mean=-230.0, log_sigma=0.5, seed=3, zero=True)
+def test_fit_lambda_matches_scipy_search(n, log_mean, log_sigma, seed, zero):
+    # labels above 1e154 overflow y**lambda / lambda; the log domain does not
+    y = _lognormal_labels(n, log_mean, log_sigma, seed, zero)
+    assume(np.unique(y).size >= 2)
+    shift = 1e-12 if zero else 0.0  # fit_boxcox's shift for a 0 label
+    shifted = y + shift
+    reference = _golden_section_max(
+        lambda l: float(stats.boxcox_llf(l, shifted)), *_LAMBDA_RANGE,
+        _LAMBDA_TOL)
+    try:
+        lam = fit_boxcox(y).lambda_bc
+    except DegenerateLabels:  # e.g. every label far below the shift
+        norm = BoxCoxNormalizer(lambda_bc=reference, shift=shift, fitted=True)
+        assert np.std(norm.transform(y)) == 0.0
+    else:
+        assert lam == reference
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(**_LABEL_SETS, equal=st.booleans())
+def test_skewness_matches_scipy_bit_for_bit(n, log_mean, log_sigma, seed,
+                                            zero, equal):
+    y = _lognormal_labels(n, log_mean, log_sigma, seed, zero)
+    if equal:
+        y[:] = y[-1]
+    _, exponent = np.frexp(np.max(y))
+    expected = float(stats.skew(np.ldexp(y, -exponent)))
+    got = skewness(y)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert got == expected
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter: this one has scipy loaded through oracles.py
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, tpcost.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_rejects_degenerate_labels():

@@ -83,6 +83,15 @@ def test_cycle_detected():
         dfg.validate()
 
 
+@pytest.mark.parametrize("duration, gap", [(math.nan, 0.0), (1.0, math.nan)])
+def test_validate_rejects_nan_times(duration, gap):
+    # `nan < 0` is false; a NaN time let through made iteration_time nan
+    dfg = _dfg([("a", "k", 1.0, 0.0, 0), ("b", "k", duration, gap, 0)],
+               [("a", "b")])
+    with pytest.raises(ValidationError, match="node 'b'"):
+        dfg.validate()
+
+
 def test_invalid_device():
     dfg = _dfg([("a", "k", 1.0, 0.0, 3)], [])
     with pytest.raises(InvalidDevice):
