@@ -7,7 +7,7 @@ dataflow-graph replay for end-to-end model latency.
 """
 
 from .errors import TpcostError
-from .ir import ProgramAst, count_leaves, parse_program, print_program
+from .ir import ProgramAst, parse_program, print_program
 from .features import (CompactAst, DeviceSpec, EncodedInput,
                        build_compact_ast, encode_input, positional_encoding)
 from .dataset import (BoxCoxNormalizer, Dataset, Sample, SynthOracleConfig,

@@ -149,6 +149,7 @@ class RunConfig:
 
 def load_run_config(path: str | None, seed_override: int | None = None) -> RunConfig:
     values = {key: default for key, (_, default) in _SCHEMA.items()}
+    where = {}  # key -> "path:line: " of the config line that set it
     text = ""
     if path is not None:
         text = read_text(path)
@@ -169,8 +170,14 @@ def load_run_config(path: str | None, seed_override: int | None = None) -> RunCo
             except ValueError as e:
                 raise TpcostError(
                     f"{path}:{lineno}: bad value for '{key}': {e}") from e
+            where[key] = f"{path}:{lineno}: "
     if seed_override is not None:
         values["seed"] = seed_override
+        where["seed"] = "--seed: "
+    for key in ("seed", "split_seed"):
+        if values[key] < 0:
+            raise TpcostError(f"{where[key]}'{key}' must be >= 0, "
+                              f"got {values[key]}")
     return RunConfig(values, source_text=text)
 
 
@@ -256,18 +263,25 @@ def _ratio_split(ds: dsmod.Dataset, config: RunConfig) -> dsmod.Dataset:
                          holdout_models=set(config.holdout_models))
 
 
-def _load_dataset_for(path: str, devices: dict) -> dsmod.Dataset:
-    """A dataset whose samples all run on a device of the catalog."""
+def _load_dataset_for(path: str, devices: dict,
+                      n_leaf_max: int) -> dsmod.Dataset:
+    """A dataset whose samples all run on a device of the catalog and have
+    at most `n_leaf_max` leaves, the model's limit."""
     ds = load_dataset(path)
     for s in ds.samples:
         if s.device_id not in devices:
             raise ValidationError(f"{path}: sample '{s.id}': unknown device "
                                   f"'{s.device_id}'")
+        if s.compact.n_leaf > n_leaf_max:
+            raise ValidationError(
+                f"{path}: sample '{s.id}': {s.compact.n_leaf} leaves, the "
+                f"model supports 1..{n_leaf_max}")
     return ds
 
 
-def _load_split_dataset(config: RunConfig, devices: dict) -> dsmod.Dataset:
-    ds = _load_dataset_for(config.require("dataset"), devices)
+def _load_split_dataset(config: RunConfig, devices: dict,
+                        n_leaf_max: int) -> dsmod.Dataset:
+    ds = _load_dataset_for(config.require("dataset"), devices, n_leaf_max)
     if config.splits is None:
         return _ratio_split(ds, config)
     ds.splits = _load_splits(config.splits)
@@ -333,7 +347,7 @@ def cmd_dataset_split(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_train(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    ds = _load_split_dataset(config, devices)
+    ds = _load_split_dataset(config, devices, config.n_leaf_max)
     model_config = config.model_config()
     result = cm.train(model_config, ds, devices)
     cm.save_checkpoint(run.file("checkpoint.npz"), result.params,
@@ -355,8 +369,10 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
 def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
     params, normalizer = _load_model(config)
-    source = _load_split_dataset(config, devices)
-    target = _load_dataset_for(config.require("target_dataset"), devices)
+    n_leaf_max = params.config.n_leaf_max
+    source = _load_split_dataset(config, devices, n_leaf_max)
+    target = _load_dataset_for(config.require("target_dataset"), devices,
+                               n_leaf_max)
     target_inputs = cm.encode_dataset(target.samples, devices)
     model_config = config.model_config()
     source_train_inputs = cm.encode_dataset(source.subset("train"), devices)
@@ -411,7 +427,8 @@ def _score_checkpoint(config: RunConfig, run: RunDir, split: str | None):
     file: writes and prints the metrics, returns samples and predictions."""
     devices = _load_devices(config)
     params, normalizer = _load_model(config)
-    ds = _load_dataset_for(config.require("dataset"), devices)
+    ds = _load_dataset_for(config.require("dataset"), devices,
+                           params.config.n_leaf_max)
     samples = ds.samples
     if split is not None and config.splits is not None:
         ds.splits = _load_splits(config.splits)
@@ -471,7 +488,7 @@ def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    ds = _load_split_dataset(config, devices)
+    ds = _load_split_dataset(config, devices, config.n_leaf_max)
     space = {
         "n_layers": [1, 2],
         "d_model": [32, 64],

@@ -24,8 +24,8 @@ from .features import (IDX_LOG_PARALLEL_EXTENT, IDX_LOG_TOTAL_BYTES_READ,
                        IDX_LOG_TOTAL_BYTES_WRITTEN, IDX_LOG_TOTAL_FLOPS,
                        IDX_PARALLEL_COUNT, N_ENTRY, CompactAst, DeviceSpec,
                        build_compact_ast)
-from .ir import (MAX_LEAVES_DEFAULT, AstNode, ComputeStats, LoopInfo,
-                 ProgramAst, leaf, loop, make_program)
+from .ir import (AstNode, ComputeStats, LoopInfo, ProgramAst, leaf, loop,
+                 make_program)
 
 SPLITS = ("train", "valid", "test", "holdout")
 SPLIT_RATIOS = (8, 1, 1)  # default train:valid:test weights
@@ -189,7 +189,8 @@ def _boxcox_llf(lam: float, y: np.ndarray) -> float:
 def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     """Maximum-likelihood Box-Cox fit via golden-section search on the
     profile log-likelihood, computed in the log domain, followed by
-    standardization of the transformed labels."""
+    standardization of the transformed labels. DegenerateLabels when the
+    transformed labels are constant or their statistics are not finite."""
     y = np.asarray(train_labels, dtype=np.float64)
     if y.size < 2 or np.unique(y).size < 2:
         raise DegenerateLabels("need at least 2 distinct labels")
@@ -201,11 +202,15 @@ def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     lam = _golden_section_max(lambda l: _boxcox_llf(l, shifted),
                               *_LAMBDA_RANGE, _LAMBDA_TOL)
     norm = BoxCoxNormalizer(lambda_bc=lam, shift=shift, fitted=True)
-    t = norm.transform(y)
-    t_std = float(np.std(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = norm.transform(y)
+        t_mean, t_std = float(np.mean(t)), float(np.std(t))
+    if not (math.isfinite(t_mean) and math.isfinite(t_std)):
+        raise DegenerateLabels(
+            f"labels transformed at lambda {lam} overflow the float range")
     if t_std == 0.0:
         raise DegenerateLabels("transformed labels are constant")
-    norm.t_mean = float(np.mean(t))
+    norm.t_mean = t_mean
     norm.t_std = t_std
     standardized = (t - norm.t_mean) / t_std
     norm.loss_offset = 1.0 - float(np.min(standardized))
@@ -384,9 +389,8 @@ class _TaskTemplate:
     e_center: float  # per-leaf log2 iteration target
 
 
-def _random_template(rng: np.random.Generator,
-                     max_leaves: int) -> _TaskTemplate:
-    n_leaves = int(rng.integers(1, min(6, max_leaves) + 1))
+def _random_template(rng: np.random.Generator) -> _TaskTemplate:
+    n_leaves = int(rng.integers(1, 7))  # 1..6
     chain_annots = []
     stats = []
     for _ in range(n_leaves):
@@ -418,7 +422,7 @@ def _extent_from_bits(e: float) -> int:
 
 
 def _instantiate(template: _TaskTemplate, rng: np.random.Generator,
-                 name: str, max_leaves: int) -> ProgramAst:
+                 name: str) -> ProgramAst:
     counter = [0]
 
     def fresh(extent_bits: float, annots: frozenset[str]) -> LoopInfo:
@@ -436,15 +440,13 @@ def _instantiate(template: _TaskTemplate, rng: np.random.Generator,
             node = loop(fresh(loop_bits, loop_annots), (node,))
         children.append(node)
     root = loop(fresh(e_root, template.root_annots), children)
-    return make_program(name, root, max_leaves=max_leaves)
+    return make_program(name, root)
 
 
-def random_program(rng: np.random.Generator, name: str,
-                   max_leaves: int = MAX_LEAVES_DEFAULT) -> ProgramAst:
+def random_program(rng: np.random.Generator, name: str) -> ProgramAst:
     """Random loop nest: a root loop over per-leaf chains, depth <= 4,
-    1..min(6, max_leaves) leaves, extents in 1..512."""
-    template = _random_template(rng, max_leaves)
-    return _instantiate(template, rng, name, max_leaves)
+    1..6 leaves, extents in 1..512."""
+    return _instantiate(_random_template(rng), rng, name)
 
 
 def generate_synthetic(n: int, devices: list[DeviceSpec],
@@ -462,14 +464,13 @@ def generate_synthetic(n: int, devices: list[DeviceSpec],
     samples: list[Sample] = []
     task_idx = 0
     while len(samples) < n:
-        template = _random_template(rng, MAX_LEAVES_DEFAULT)
+        template = _random_template(rng)
         model_id = f"m{task_idx // tasks_per_model}"
         for j in range(task_size):
             if len(samples) >= n:
                 break
             i = len(samples)
-            program = _instantiate(template, rng, f"t{task_idx}_p{j}",
-                                   MAX_LEAVES_DEFAULT)
+            program = _instantiate(template, rng, f"t{task_idx}_p{j}")
             compact = build_compact_ast(program)
             device = devices[i % len(devices)]
             try:

@@ -4,7 +4,8 @@ A program AST is flattened into a *compact* form: one fixed-width
 computation vector per compute leaf plus an ordering vector derived from a
 marker-annotated pre-order serialization (marker -1 emitted after every
 leaf id). A sinusoidal positional encoding of each leaf's serialized
-position is added to its computation vector to form the model input.
+position, with base theta fixed at 10000, is added to its computation vector
+to form the model input.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (LeafCountExceeded, ValidationError, json_int, json_number,
-                     json_object, json_str, read_json)
+from .errors import (ValidationError, json_int, json_number, json_object,
+                     json_str, read_json)
 from .ir import AstNode, ComputeStats, LoopInfo, ProgramAst
 
 N_ENTRY = 24  # computation-vector width; must stay even for the PE formulas
-THETA_DEFAULT = 10000.0
+THETA = 10000.0
 MARKER = -1
 _EXTENT_PRODUCT_LIMIT = 2 ** 62
 
@@ -121,11 +122,10 @@ def load_device_catalog(path: str | Path) -> dict[str, DeviceSpec]:
     return catalog
 
 
-def save_device_catalog(catalog: dict[str, DeviceSpec] | list[DeviceSpec],
+def save_device_catalog(catalog: dict[str, DeviceSpec],
                         path: str | Path) -> None:
-    specs = list(catalog.values()) if isinstance(catalog, dict) else catalog
     with open(path, "w", encoding="utf-8") as f:
-        json.dump([asdict(s) for s in specs], f, indent=2)
+        json.dump([asdict(s) for s in catalog.values()], f, indent=2)
         f.write("\n")
 
 
@@ -188,14 +188,9 @@ def compute_vector(leaf: ComputeStats, enclosing: list[LoopInfo],
     return np.array(v, dtype=np.float64)
 
 
-def build_compact_ast(ast: ProgramAst,
-                      max_leaves: int | None = None) -> CompactAst:
+def build_compact_ast(ast: ProgramAst) -> CompactAst:
     """Serialize the tree pre-order (marker after each leaf) and extract one
     computation vector per leaf."""
-    if max_leaves is not None and ast.n_leaf > max_leaves:
-        raise LeafCountExceeded(
-            f"{ast.n_leaf} leaves exceeds maximum {max_leaves}")
-
     serialized: list[int] = []
     ordering: list[int] = []
     leaves: list[tuple[ComputeStats, list[LoopInfo]]] = []
@@ -219,9 +214,6 @@ def build_compact_ast(ast: ProgramAst,
 
     visit(ast.root, [])
     n_leaf = len(leaves)
-    if n_leaf != ast.n_leaf:
-        raise ValidationError(
-            f"leaf count mismatch: tree has {n_leaf}, header says {ast.n_leaf}")
     vectors = np.stack([
         compute_vector(stats, ctx, idx, n_leaf)
         for idx, (stats, ctx) in enumerate(leaves)
@@ -230,23 +222,19 @@ def build_compact_ast(ast: ProgramAst,
                       serialized=tuple(serialized), n_leaf=n_leaf)
 
 
-_PE_EXPONENTS = 2.0 * np.arange(N_ENTRY // 2, dtype=np.float64) / N_ENTRY
-_PE_DIVISOR_DEFAULT = THETA_DEFAULT ** _PE_EXPONENTS  # computed once
+_PE_DIVISOR = THETA ** (2.0 * np.arange(N_ENTRY // 2, dtype=np.float64)
+                        / N_ENTRY)
 
 
-def positional_encoding(compact: CompactAst,
-                        theta: float = THETA_DEFAULT) -> np.ndarray:
+def positional_encoding(compact: CompactAst) -> np.ndarray:
     """Sinusoidal encoding of each leaf's serialized position.
 
     Row xi: column 2d holds sin(V[xi] / theta^(2d/N_ENTRY)) and column
-    2d+1 the matching cos. All entries lie in [-1, 1].
+    2d+1 the matching cos, with theta fixed at 10000. All entries lie in
+    [-1, 1].
     """
-    if theta <= 0:
-        raise ValidationError("theta must be > 0")
     positions = np.asarray(compact.ordering, dtype=np.float64)[:, None]
-    divisor = (_PE_DIVISOR_DEFAULT if theta == THETA_DEFAULT
-               else theta ** _PE_EXPONENTS)
-    angles = positions / divisor  # (n_leaf, N_ENTRY/2)
+    angles = positions / _PE_DIVISOR  # (n_leaf, N_ENTRY/2)
     pe = np.empty((compact.n_leaf, N_ENTRY), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
@@ -261,9 +249,8 @@ def device_vector(device: DeviceSpec) -> np.ndarray:
     return np.log2(1.0 + raw)
 
 
-def encode_input(compact: CompactAst, device: DeviceSpec,
-                 theta: float = THETA_DEFAULT) -> EncodedInput:
+def encode_input(compact: CompactAst, device: DeviceSpec) -> EncodedInput:
     """Add the positional encoding to the leaf vectors and attach device
     features."""
-    matrix = compact.leaf_vectors + positional_encoding(compact, theta)
+    matrix = compact.leaf_vectors + positional_encoding(compact)
     return EncodedInput(matrix=matrix, device_vector=device_vector(device))

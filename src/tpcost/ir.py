@@ -36,7 +36,7 @@ a tree built by hand with the same rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 
@@ -126,7 +126,7 @@ def leaf(label: str, stats: ComputeStats) -> AstNode:
 class ProgramAst:
     root: AstNode
     name: str
-    n_leaf: int = field(default=0)
+    n_leaf: int
 
 
 def _walk_validate(node: AstNode, depth: int) -> int:
@@ -157,19 +157,6 @@ def make_program(name: str, root: AstNode,
     if n > max_leaves:
         raise ValidationError(f"program has {n} leaves, maximum is {max_leaves}")
     return ProgramAst(root=root, name=name, n_leaf=n)
-
-
-def count_leaves(ast: ProgramAst) -> int:
-    """Number of compute leaves; iterative so arbitrary depth is safe."""
-    n = 0
-    stack = [ast.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            n += 1
-        else:
-            stack.extend(node.children)
-    return n
 
 
 # ---------------------------------------------------------------------------

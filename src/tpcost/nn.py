@@ -28,6 +28,9 @@ from collections.abc import Mapping
 
 import numpy as np
 
+_LAYERNORM_EPS = 1e-5
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int,
                    fan_out: int) -> np.ndarray:
@@ -61,14 +64,13 @@ def relu_bwd(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return dy * mask
 
 
-def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray,
-                  eps: float = 1e-5):
+def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     # x.mean and x.var in one pass over x - mu: the same reductions in the
     # same order, so bit-identical, without numpy's Python-level wrappers
     n = x.shape[-1]
     d = x - np.add.reduce(x, -1, keepdims=True) / n
     var = np.add.reduce(d * d, -1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYERNORM_EPS)
     xhat = np.multiply(d, inv, out=d)  # in place: one array fewer at peak
     return g * xhat + b, (xhat, inv)
 
@@ -279,9 +281,7 @@ class Adam(_Optimizer):
     exactly p. The per-element operation order is that of the textbook
     per-tensor loop, so results are bit-identical to it."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.t = 0
         self.m: np.ndarray | None = None
@@ -292,8 +292,8 @@ class Adam(_Optimizer):
     def step(self, params: FlatTensors, grads: FlatTensors,
              lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _ADAM_BETA1 ** self.t
+        bc2 = 1.0 - _ADAM_BETA2 ** self.t
         if self.m is None:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
@@ -306,14 +306,14 @@ class Adam(_Optimizer):
             a, b = self._a[:p.size], self._b[:p.size]
             if self.weight_decay:
                 g = np.add(g, np.multiply(p, self.weight_decay, out=a), out=a)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=b)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=b)
+            m *= _ADAM_BETA1
+            m += np.multiply(g, 1.0 - _ADAM_BETA1, out=b)
+            v *= _ADAM_BETA2
+            np.multiply(g, 1.0 - _ADAM_BETA2, out=b)
             v += np.multiply(b, g, out=b)
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.sqrt(np.divide(v, bc2, out=a), out=a)
-            a += self.eps
+            a += _ADAM_EPS
             np.divide(m, bc1, out=b)
             b *= lr
             b /= a

@@ -215,7 +215,7 @@ def test_criterion_5_positional_encoding():
                              ordering=positions,
                              serialized=tuple(range(400)),
                              n_leaf=len(positions))
-        pe = positional_encoding(compact, theta=10000.0)
+        pe = positional_encoding(compact)
         assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
         assert np.array_equal(pe[0], np.tile([0.0, 1.0], N_ENTRY // 2))
         for row, pos in enumerate(positions):

@@ -17,9 +17,11 @@ from tpcost.cli import (_MODEL_KEYS, _ORACLE_KEYS, _SCHEMA, EXIT_INPUT,
                         EXIT_OK, EXIT_USAGE, load_run_config, main)
 from tpcost.costmodel import (CostModelConfig, encode_dataset, forward,
                               init_params, load_checkpoint, save_checkpoint)
-from tpcost.dataset import SynthOracleConfig, fit_boxcox, load_dataset
+from tpcost.dataset import (Sample, SynthOracleConfig, fit_boxcox,
+                            load_dataset, sample_to_line)
 from tpcost.errors import CheckpointError, TpcostError
-from tpcost.features import load_device_catalog
+from tpcost.features import build_compact_ast, load_device_catalog
+from tpcost.ir import parse_program
 
 IR_OK = """program demo {
   for i in 0..16 @parallel {
@@ -181,6 +183,32 @@ def test_config_key_defaults_are_pinned():
         # repr tells 0 from 0.0 and (1,) from ('1',)
         assert repr(defaults[key]) == repr(default), key
         assert repr(_SCHEMA[key][0]("1")) == repr(one), key
+
+
+@pytest.mark.parametrize("command, line, argv, key", [
+    ("train", "seed = -1", [], "seed"),
+    ("train", "split_seed = -1", [], "split_seed"),
+    ("synth", "", ["--seed", "-5"], "seed"),
+    ("sample", "", ["--seed", "-2"], "seed"),
+    ("dataset-split", "split_seed = -1", [], "split_seed"),
+    ("synth", "oracle_seed = -1", [], None),  # hashed, never given to numpy
+])
+def test_negative_seed_is_input_error(workdir, tmp_path, capsys, command,
+                                      line, argv, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\nn = 20\ndataset = {workdir}/synth/dataset.jsonl"
+                   f"\ndevices = {workdir}/synth/devices.json\n",
+                   encoding="utf-8")
+    code = main(["--config", str(cfg), *argv, "--out", str(tmp_path / "o"),
+                 command])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if key is None:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_INPUT
+    where = f"{cfg}:1: " if line else "--seed: "
+    assert f"{where}'{key}' must be >= 0" in err
 
 
 def test_extract_happy_and_partial_failure(tmp_path, capsys):
@@ -488,6 +516,36 @@ def test_unknown_device_names_dataset_and_sample(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{data}: sample '{sample_id}': unknown device 'nope'" in err
+
+
+@pytest.mark.parametrize("command, n_leaf_max, limit", [
+    ("train", 2, 2),  # the config's n_leaf_max
+    ("predict", 32, 16),  # the checkpoint's, not the config's
+])
+def test_leaf_count_over_model_limit_names_dataset_and_sample(
+        workdir, tmp_path, capsys, command, n_leaf_max, limit):
+    text = ("program big { for i in 0..2 { "
+            + " ".join(f"compute c{i} {{ fma=1 }}" for i in range(17))
+            + " } }")
+    big = Sample(id="big", task_id="t_big", model_id="m0", device_id="synth0",
+                 compact=build_compact_ast(parse_program(text, max_leaves=17)),
+                 latency_s=1e-3)
+    data = tmp_path / "ds.jsonl"
+    data.write_text((workdir / "synth" / "dataset.jsonl").read_text()
+                    + sample_to_line(big) + "\n", encoding="utf-8")
+    first = next(record for record in map(json.loads,
+                                          data.read_text().splitlines())
+                 if record["n_leaf"] > limit)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {data}\ndevices = {workdir}/synth/devices.json"
+                   f"\ncheckpoint = {workdir}/train/checkpoint.npz"
+                   f"\nn_leaf_max = {n_leaf_max}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 command]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"{data}: sample '{first['id']}': {first['n_leaf']} leaves, the "
+            f"model supports 1..{limit}") in err
 
 
 @pytest.mark.parametrize("value", [True, "1e-3", -1])

@@ -15,10 +15,10 @@ from oracles import grid_mle_lambda
 
 from tpcost.dataset import (_LAMBDA_RANGE, _LAMBDA_TOL, DEFAULT_SYNTH_DEVICE,
                             BoxCoxNormalizer, Dataset, SynthOracleConfig,
-                            _golden_section_max, fit_boxcox, generate_synthetic,
-                            load_dataset, random_program, sample_to_line,
-                            save_dataset, skewness, split_dataset,
-                            synth_latency)
+                            _boxcox_llf, _golden_section_max, fit_boxcox,
+                            generate_synthetic, load_dataset, random_program,
+                            sample_to_line, save_dataset, skewness,
+                            split_dataset, synth_latency)
 from tpcost.errors import (DegenerateLabels, DomainError, EmptyDataset,
                            MissingPeakFlops, NotFitted, ValidationError)
 from tpcost.features import N_ENTRY, DeviceSpec, build_compact_ast
@@ -118,11 +118,14 @@ _LABEL_SETS = dict(n=st.integers(2, 300), log_mean=st.floats(-600.0, 600.0),
                    seed=st.integers(0, 2**32 - 1), zero=st.booleans())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(**_LABEL_SETS)
 @example(n=40, log_mean=400.0, log_sigma=20.0, seed=1, zero=False)
 @example(n=40, log_mean=400.0, log_sigma=20.0, seed=2, zero=True)
 @example(n=5, log_mean=-230.0, log_sigma=0.5, seed=3, zero=True)
+@example(n=34, log_mean=math.log(2.4e192), log_sigma=0.01, seed=0,
+         zero=False)
 def test_fit_lambda_matches_scipy_search(n, log_mean, log_sigma, seed, zero):
     # labels above 1e154 overflow y**lambda / lambda; the log domain does not
     y = _lognormal_labels(n, log_mean, log_sigma, seed, zero)
@@ -132,13 +135,17 @@ def test_fit_lambda_matches_scipy_search(n, log_mean, log_sigma, seed, zero):
     reference = _golden_section_max(
         lambda l: float(stats.boxcox_llf(l, shifted)), *_LAMBDA_RANGE,
         _LAMBDA_TOL)
+    assert _golden_section_max(lambda l: _boxcox_llf(l, shifted),
+                               *_LAMBDA_RANGE, _LAMBDA_TOL) == reference
+    # labels far below the shift transform to constants, and huge narrow
+    # ones past the float range at that lambda
     try:
-        lam = fit_boxcox(y).lambda_bc
-    except DegenerateLabels:  # e.g. every label far below the shift
-        norm = BoxCoxNormalizer(lambda_bc=reference, shift=shift, fitted=True)
-        assert np.std(norm.transform(y)) == 0.0
-    else:
-        assert lam == reference
+        norm = fit_boxcox(y)
+    except DegenerateLabels:
+        return
+    assert norm.lambda_bc == reference
+    assert all(math.isfinite(v)
+               for v in (norm.t_mean, norm.t_std, norm.loss_offset))
 
 
 @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from conftest import rand_program
 from tpcost.errors import ParseError, ValidationError
 from tpcost.ir import (ANNOTATIONS, ComputeStats, LoopInfo, _tokenize,
-                       count_leaves, leaf, loop, make_program, parse_program,
-                       print_program)
+                       leaf, loop, make_program, parse_program, print_program)
 
 SIMPLE = "for i in 0..4 { compute A { fma=2 bytes_read=16 bytes_written=8 } }"
 
@@ -45,7 +44,6 @@ def test_parse_fused_conv_relu_shape():
     """
     ast = parse_program(text)
     assert ast.n_leaf == 2
-    assert count_leaves(ast) == 2
     outer = ast.root
     assert outer.loop.var_name == "n"
     assert [c.loop.var_name for c in outer.children] == ["c", "c2"]
@@ -100,7 +98,7 @@ def test_deep_nesting_reports_parse_error():
 
 def test_count_leaves_examples():
     single = parse_program("program p { " + SIMPLE + " }")
-    assert count_leaves(single) == 1
+    assert single.n_leaf == 1
     balanced = parse_program("""
     program b {
       for i in 0..2 {
@@ -108,12 +106,12 @@ def test_count_leaves_examples():
         for k in 0..2 { compute c { fma=1 } compute d { fma=1 } }
       }
     }""")
-    assert count_leaves(balanced) == 4
+    assert balanced.n_leaf == 4
     two_leaf = parse_program("""
     program two {
       for i in 0..2 { for j in 0..3 { compute a { fma=1 } } compute b { add=1 } }
     }""")
-    assert count_leaves(two_leaf) == 2
+    assert two_leaf.n_leaf == 2
 
 
 def _brute_count(node):
@@ -125,7 +123,7 @@ def _brute_count(node):
 def test_count_leaves_matches_bruteforce_on_random_trees(rng):
     for _ in range(60):
         ast = rand_program(rng, max_depth=8)
-        assert count_leaves(ast) == _brute_count(ast.root) == ast.n_leaf
+        assert _brute_count(ast.root) == ast.n_leaf
 
 
 def test_roundtrip_on_random_trees(rng):
