@@ -210,10 +210,14 @@ def _layer(prefix: str, parts: tuple[str, ...] = ("W", "b")):
 
 
 def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
-                   indices: list[int], x: np.ndarray,
-                   v: np.ndarray) -> tuple[np.ndarray, _GroupCache]:
+                   indices: list[int], x: np.ndarray, v: np.ndarray,
+                   caches: list[_GroupCache] | None):
     """One leaf-count group through the network; `t` maps tensor names to
-    the parameter views."""
+    the parameter views. Returns (predictions, z_x, z). Only when `caches`
+    is a list are the activations kept, as a _GroupCache appended to it;
+    otherwise each layer's intermediates die once the next layer has used
+    them."""
+    keep = caches is not None
     h, _ = nn.linear_fwd(x, *_layer("input")(t))
     layer_caches = []
     for i in range(config.n_layers):
@@ -226,9 +230,9 @@ def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
         f_act, ffn_mask = nn.relu_fwd(f_pre)
         f_out, _ = nn.linear_fwd(f_act, *_layer(f"{pre}.ffn.o")(t))
         r2 = h1 + f_out
-        h2, c_ln2 = nn.layernorm_fwd(r2, *_layer(f"{pre}.ln2", _NORM)(t))
-        layer_caches.append((c_attn, c_ln1, h1, ffn_mask, f_act, c_ln2))
-        h = h2
+        h, c_ln2 = nn.layernorm_fwd(r2, *_layer(f"{pre}.ln2", _NORM)(t))
+        if keep:
+            layer_caches.append((c_attn, c_ln1, h1, ffn_mask, f_act, c_ln2))
     bsz, length, dim = h.shape
     flat = h.reshape(bsz, length * dim)
     z_x, _ = nn.linear_fwd(flat, *_layer(f"leaf_embed.{length}")(t))
@@ -241,18 +245,26 @@ def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
     for i in range(len(config.decoder_dims)):
         lin, _ = nn.linear_fwd(u, *_layer(f"dec.{i}")(t))
         act, mask = nn.relu_fwd(lin)
-        dec_caches.append((u, mask))
+        if keep:
+            dec_caches.append((u, mask))
         u = act
     out, _ = nn.linear_fwd(u, *_layer("dec.out")(t))
-    return out[:, 0], _GroupCache(
-        indices=indices, x=x, v=v, layers=layer_caches, flat=flat, z_x=z_x,
-        dev_mask=dev_mask, z_v=z_v, zp=zp, z=z, dec=dec_caches, u_last=u)
+    if keep:
+        caches.append(_GroupCache(
+            indices=indices, x=x, v=v, layers=layer_caches, flat=flat,
+            z_x=z_x, dev_mask=dev_mask, z_v=z_v, zp=zp, z=z, dec=dec_caches,
+            u_last=u))
+    return out[:, 0], z_x, z
 
 
-def _forward(params: CostModelParams, inputs: list[EncodedInput]):
-    """Returns (predictions, LatentBatch, caches). Inputs may mix leaf
-    counts; they are grouped so that every sample is encoded over exactly
-    its own n_leaf rows."""
+def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
+             caches: list[_GroupCache] | None = None
+             ) -> tuple[np.ndarray, LatentBatch]:
+    """Returns (predictions, LatentBatch). Inputs may mix leaf counts; they
+    are grouped so that every sample is encoded over exactly its own n_leaf
+    rows. Only `backward` passes `caches`, a list that receives one
+    _GroupCache per group; without it no activations are retained and the
+    pass holds one group's activations at a time."""
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
@@ -267,7 +279,6 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
     pred = np.empty(n)
     z_x_all = np.empty((n, config.d_embed))
     z_all = np.empty((n, config.d_embed))
-    caches: list[_GroupCache] = []
     for n_leaf in sorted(groups):
         idx = groups[n_leaf]
         if len(idx) == 1:  # a view of the one input, not a copy
@@ -276,19 +287,17 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput]):
         else:
             x = np.stack([inputs[i].matrix for i in idx])
             v = np.stack([inputs[i].device_vector for i in idx])
-        pred[idx], cache = _forward_group(params.tensors.views, config, idx,
-                                         x, v)
-        z_x_all[idx] = cache.z_x
-        z_all[idx] = cache.z
-        caches.append(cache)
-    return pred, LatentBatch(z_x=z_x_all, z=z_all), caches
+        pred[idx], z_x_all[idx], z_all[idx] = _forward_group(
+            params.tensors.views, config, idx, x, v, caches)
+    return pred, LatentBatch(z_x=z_x_all, z=z_all)
 
 
 def forward(params: CostModelParams,
             inputs: list[EncodedInput]) -> tuple[np.ndarray, LatentBatch]:
-    """Predictions (in normalized label space) and latent embeddings."""
-    pred, latents, _ = _forward(params, inputs)
-    return pred, latents
+    """Predictions (in normalized label space) and latent embeddings. No
+    activations are retained (only `backward` keeps them), so the pass
+    holds one leaf-count group's activations at a time."""
+    return _forward(params, inputs)
 
 
 def _linear_grad(t: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -492,9 +501,11 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
     architecture is always params.config's. `offset` shifts predictions and
     targets together so that the relative term's denominators are positive.
     With alpha_cmd > 0 and a target batch, the CMD term couples the two
-    forward passes through the shared encoder."""
+    forward passes through the shared encoder. This is the only caller that
+    has `_forward` retain every group's activations for the backward pass."""
     targets = np.asarray(targets, dtype=np.float64)
-    pred, latents, caches = _forward(params, batch)
+    caches: list[_GroupCache] = []
+    pred, latents = _forward(params, batch, caches=caches)
     if pred.shape != targets.shape:
         raise ValidationError("batch and targets must have equal length")
     value, dpred = _supervised_loss_grad(pred, targets, config.loss_mode,
@@ -503,7 +514,8 @@ def backward(params: CostModelParams, batch: list[EncodedInput],
     passes = [(caches, dpred, None)]
     cmd_value = 0.0
     if config.alpha_cmd > 0.0 and target_batch is not None:
-        pred_t, latents_t, caches_t = _forward(params, target_batch)
+        caches_t: list[_GroupCache] = []
+        pred_t, latents_t = _forward(params, target_batch, caches=caches_t)
         cmd_value, dzs, dzt = _cmd_forward_backward(latents.z, latents_t.z,
                                                     config.cmd_order)
         value += config.alpha_cmd * cmd_value
@@ -724,6 +736,9 @@ def predict(params: CostModelParams, compact: CompactAst, device: DeviceSpec,
 
 def predict_batch(params: CostModelParams, inputs: list[EncodedInput],
                   normalizer: BoxCoxNormalizer) -> np.ndarray:
+    """Latencies in seconds for a batch that may mix leaf counts. One
+    forward pass over the whole batch; it retains no activations (only
+    `backward` does), so it holds one leaf-count group's at a time."""
     pred_enc, _ = forward(params, inputs)
     return normalizer.decode(pred_enc)
 

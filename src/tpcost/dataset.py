@@ -208,7 +208,8 @@ def fit_boxcox(train_labels) -> BoxCoxNormalizer:
     if not (math.isfinite(t_mean) and math.isfinite(t_std)):
         raise DegenerateLabels(
             f"labels transformed at lambda {lam} overflow the float range")
-    if t_std == 0.0:
+    # not t_std == 0.0: the std of equal values is nonzero when the mean rounds
+    if t.max() == t.min():
         raise DegenerateLabels("transformed labels are constant")
     norm.t_mean = t_mean
     norm.t_std = t_std

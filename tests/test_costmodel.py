@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,46 @@ def test_forward_errors(rng):
                            device_vector=np.zeros(6))
     with pytest.raises(LeafCountExceeded):
         cm.forward(params, [too_big])
+
+
+def test_inference_matches_the_cached_training_pass(rng):
+    # one forward path: keeping the activations changes no bit of the output
+    params = cm.init_params(replace(TINY, n_layers=2))
+    inputs = [rand_inputs(rng, 1, (n, n + 1))[0] for n in (2, 3, 1, 3, 2, 2)]
+    pred, latents = cm.forward(params, inputs)
+    y = rng.uniform(1.0, 2.0, size=len(inputs))
+    _, _, aux = cm.backward(params, inputs, y, cm.CostModelConfig())
+    assert pred.tobytes() == aux["pred"].tobytes()
+    caches = []
+    pred_c, latents_c = cm._forward(params, inputs, caches=caches)
+    assert pred_c.tobytes() == pred.tobytes()
+    assert latents_c.z.tobytes() == latents.z.tobytes()
+    assert latents_c.z_x.tobytes() == latents.z_x.tobytes()
+    assert [c.n_leaf for c in caches] == [1, 2, 3]
+    assert [c.indices for c in caches] == [[2], [0, 4, 5], [1, 3]]
+    for c in caches:
+        assert c.z.tobytes() == latents.z[c.indices].tobytes()
+
+
+def test_inference_holds_one_leaf_count_group_at_a_time():
+    rng = np.random.default_rng(0)
+    params = cm.init_params(cm.desk_config())
+    inputs = [EncodedInput(matrix=rng.normal(size=(n, N_ENTRY)),
+                           device_vector=rng.normal(size=6))
+              for _ in range(50) for n in range(1, 7)]
+
+    def traced_peak(batch):
+        tracemalloc.start()
+        try:
+            cm.forward(params, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    largest_group = max(
+        traced_peak([e for e in inputs if e.n_leaf == n]) for n in range(1, 7))
+    # a pass that kept every group's activations would peak near 3x this
+    assert traced_peak(inputs) <= 1.25 * largest_group
 
 
 def test_config_validation():

@@ -183,6 +183,14 @@ def test_fit_rejects_degenerate_labels():
         fit_boxcox([1.0])
 
 
+def test_fit_rejects_equal_transformed_labels_with_rounded_std():
+    # lambda ~ -2 sends every y**lambda to 0, so the transformed labels are
+    # all equal, yet their mean rounds and np.std gives 1.1e-16, not 0.0
+    y = np.exp(np.random.default_rng(4).normal(math.log(2.4e192), 0.01, 34))
+    with pytest.raises(DegenerateLabels, match="constant"):
+        fit_boxcox(y)
+
+
 def test_transform_strictly_monotone(rng):
     y = np.exp(rng.normal(0.0, 1.5, size=4000))
     norm = fit_boxcox(y)
