@@ -14,10 +14,9 @@ from .dataset import (BoxCoxNormalizer, Dataset, Sample, SynthOracleConfig,
                       fit_boxcox, generate_synthetic, load_dataset,
                       save_dataset, split_dataset, synth_latency)
 from .costmodel import (CostModelConfig, CostModelParams, LatentBatch,
-                        backward, cmd, desk_config, epsilon_diag, finetune,
-                        forward, init_params, load_checkpoint, loss_finetune,
-                        loss_pretrain, metrics, predict, save_checkpoint,
-                        train, tune)
+                        backward, cmd, desk_config, finetune, forward,
+                        init_params, load_checkpoint, loss_pretrain, metrics,
+                        predict, save_checkpoint, train, tune)
 from .sampling import ClusterModel, TaskFeatureSet, kmeans, select_tasks
 from .replayer import (Dfg, DfgNode, SimResult, dedup_predict,
                        expand_device_parallel, replay_model, simulate)

@@ -28,8 +28,8 @@ import numpy as np
 from . import costmodel as cm
 from . import dataset as dsmod
 from . import replayer, sampling
-from .errors import (TpcostError, ValidationError, json_int, json_object,
-                     read_json, read_text)
+from .errors import (EmptyDataset, TpcostError, ValidationError, json_int,
+                     json_object, read_json, read_text)
 from .features import (build_compact_ast, load_device_catalog,
                        save_device_catalog)
 from .ir import parse_program
@@ -263,11 +263,19 @@ def _ratio_split(ds: dsmod.Dataset, config: RunConfig) -> dsmod.Dataset:
                          holdout_models=set(config.holdout_models))
 
 
+def _load_dataset(path: str) -> dsmod.Dataset:
+    """A dataset file with at least one sample."""
+    ds = load_dataset(path)
+    if not ds.samples:
+        raise EmptyDataset(f"{path}: dataset has no samples")
+    return ds
+
+
 def _load_dataset_for(path: str, devices: dict,
                       n_leaf_max: int) -> dsmod.Dataset:
-    """A dataset whose samples all run on a device of the catalog and have
-    at most `n_leaf_max` leaves, the model's limit."""
-    ds = load_dataset(path)
+    """A non-empty dataset whose samples all run on a device of the catalog
+    and have at most `n_leaf_max` leaves, the model's limit."""
+    ds = _load_dataset(path)
     for s in ds.samples:
         if s.device_id not in devices:
             raise ValidationError(f"{path}: sample '{s.id}': unknown device "
@@ -335,7 +343,7 @@ def cmd_synth(args, config: RunConfig, run: RunDir) -> int:
 
 
 def cmd_dataset_split(args, config: RunConfig, run: RunDir) -> int:
-    ds = _ratio_split(load_dataset(config.require("dataset")), config)
+    ds = _ratio_split(_load_dataset(config.require("dataset")), config)
     run.write_json("splits.json", ds.splits)
     counts = {}
     for name in ds.splits.values():
@@ -375,29 +383,28 @@ def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
                                n_leaf_max)
     target_inputs = cm.encode_dataset(target.samples, devices)
     model_config = config.model_config()
+    result = cm.finetune(params, source, target_inputs, model_config,
+                         devices, normalizer)
+    # finetune trains a copy: `params` still holds the pretrained model
     source_train_inputs = cm.encode_dataset(source.subset("train"), devices)
     cmd_before = cm.cmd_between(params, source_train_inputs, target_inputs,
                                 model_config.cmd_order)
-    result = cm.finetune(params, source, target_inputs, model_config,
-                         devices, normalizer)
     cmd_after = cm.cmd_between(result.params, source_train_inputs,
                                target_inputs, model_config.cmd_order)
     cm.save_checkpoint(run.file("checkpoint.npz"), result.params, normalizer)
     run.register("checkpoint.npz")
     _write_log_csv(run, "finetune_log.csv", result.log)
+    pred = cm.predict_batch(result.params, target_inputs, normalizer)
     summary = {"cmd_before": cmd_before, "cmd_after": cmd_after,
-               "val_mape": result.best_val_mape}
-    if target.samples:
-        pred = cm.predict_batch(result.params, target_inputs, normalizer)
-        summary["target"] = cm.metrics(
-            pred, [s.latency_s for s in target.samples])
+               "val_mape": result.best_val_mape,
+               "target": cm.metrics(pred, target.labels())}
     run.write_json("summary.json", summary)
     print(_json_text(summary))
     return EXIT_OK
 
 
 def cmd_sample(args, config: RunConfig, run: RunDir) -> int:
-    ds = load_dataset(config.require("dataset"))
+    ds = _load_dataset(config.require("dataset"))
     by_task: dict[str, list[np.ndarray]] = {}
     for s in ds.samples:
         by_task.setdefault(s.task_id, []).append(

@@ -27,10 +27,10 @@ from .errors import (CheckpointError, DimensionMismatch, EmptyBatch,
                      EmptyDataset, EmptySelection, EmptySet,
                      LeafCountExceeded, NonFiniteLoss, ValidationError,
                      json_bool, json_int, json_list, json_number, json_str)
-from .features import N_ENTRY, CompactAst, DeviceSpec, EncodedInput, encode_input
+from .features import (DEVICE_FEATURES, N_ENTRY, CompactAst, DeviceSpec,
+                       EncodedInput, encode_input)
 from .ir import MAX_LEAVES_DEFAULT
 
-DEVICE_FEATURES = 6
 _CMD_SUPPORT_FLOOR = 1e-6
 
 
@@ -89,15 +89,6 @@ class CostModelConfig:
 def desk_config(**overrides) -> CostModelConfig:
     """Default desk-scale configuration; small enough to train in minutes."""
     return replace(CostModelConfig(), **overrides)
-
-
-def full_reference_config() -> CostModelConfig:
-    """Large preset mirroring the full-scale reference runs (not a default:
-    ~14M parameters, meant for big corpora)."""
-    return CostModelConfig(
-        d_model=716, n_layers=11, n_heads=4, d_ff=985, d_embed=69,
-        d_device=64, decoder_dims=(930, 930, 930), alpha_cmd=1.0, lr=1.68e-5,
-        weight_decay=0.0013, lr_schedule="cyclic", batch_size=600)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +179,6 @@ class _GroupCache:
     dev_mask: np.ndarray
     z_v: np.ndarray
     zp: np.ndarray
-    z: np.ndarray
     dec: list[tuple[np.ndarray, np.ndarray]]
     u_last: np.ndarray
 
@@ -252,7 +242,7 @@ def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
     if keep:
         caches.append(_GroupCache(
             indices=indices, x=x, v=v, layers=layer_caches, flat=flat,
-            z_x=z_x, dev_mask=dev_mask, z_v=z_v, zp=zp, z=z, dec=dec_caches,
+            z_x=z_x, dev_mask=dev_mask, z_v=z_v, zp=zp, dec=dec_caches,
             u_last=u))
     return out[:, 0], z_x, z
 
@@ -478,13 +468,6 @@ def cmd(zs, zt, k: int = CostModelConfig.cmd_order) -> float:
             f"column mismatch: {zs.shape[1]} vs {zt.shape[1]}")
     total, _, _ = _cmd_forward_backward(zs, zt, k)
     return total
-
-
-def loss_finetune(pred, y, zs, zt,
-                  lambda_hybrid: float = CostModelConfig.lambda_hybrid,
-                  alpha_cmd: float = 1.0,
-                  k: int = CostModelConfig.cmd_order) -> float:
-    return loss_pretrain(pred, y, lambda_hybrid) + alpha_cmd * cmd(zs, zt, k)
 
 
 def backward(params: CostModelParams, batch: list[EncodedInput],
@@ -797,25 +780,6 @@ def latent_epsilon(z_all: np.ndarray, z_selected: np.ndarray) -> float:
     diff = z_all[:, None, :] - z_selected[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
     return float(dist.min(axis=1).max())
-
-
-def encode_latents(params: CostModelParams, compacts: list[CompactAst],
-                   device: DeviceSpec) -> np.ndarray:
-    inputs = [encode_input(c, device) for c in compacts]
-    _, latents = forward(params, inputs)
-    return latents.z_x
-
-
-def epsilon_diag(all_features: list[CompactAst],
-                 selected: list[CompactAst], params: CostModelParams,
-                 device: DeviceSpec) -> float:
-    """Worst-case latent-space distance from any program to its nearest
-    selected program (device-independent embeddings)."""
-    if not selected:
-        raise EmptySelection("need at least one selected program")
-    z_all = encode_latents(params, all_features, device)
-    z_sel = encode_latents(params, selected, device)
-    return latent_epsilon(z_all, z_sel)
 
 
 # ---------------------------------------------------------------------------

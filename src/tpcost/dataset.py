@@ -98,28 +98,16 @@ class BoxCoxNormalizer:
             out = (np.power(shifted, self.lambda_bc) - 1.0) / self.lambda_bc
         return float(out) if np.isscalar(y) else out
 
-    def inverse_transform(self, t):
-        self._check()
-        arr = np.asarray(t, dtype=np.float64)
-        if abs(self.lambda_bc) < _LAMBDA_ZERO_EPS:
-            out = np.exp(arr) - self.shift
-        else:
-            base = self.lambda_bc * arr + 1.0
-            if np.any(base <= 0):
-                raise DomainError("no positive preimage: lambda*t + 1 <= 0")
-            out = np.power(base, 1.0 / self.lambda_bc) - self.shift
-        return float(out) if np.isscalar(t) else out
-
     def encode(self, y):
         """Original scale -> standardized transformed scale (model space)."""
         return (self.transform(y) - self.t_mean) / self.t_std
 
     def decode(self, e):
-        """Model space -> original scale. An output with no positive
-        preimage (lambda*t + 1 <= 0) decodes to +inf; a scalar gives a
-        float."""
+        """Model space -> original scale; the normalizer's only inverse. An
+        output with no positive preimage (lambda*t + 1 <= 0) decodes to +inf
+        and a NaN stays NaN; a scalar gives a float."""
+        self._check()
         if isinstance(e, float):  # one prediction: the same ufuncs, no arrays
-            self._check()
             t = e * self.t_std + self.t_mean
             if abs(self.lambda_bc) < _LAMBDA_ZERO_EPS:
                 return float(np.exp(t) - self.shift)
@@ -128,10 +116,13 @@ class BoxCoxNormalizer:
                 return math.inf
             return float(np.power(base, 1.0 / self.lambda_bc) - self.shift)
         t = np.asarray(e, dtype=np.float64) * self.t_std + self.t_mean
-        out_of_range = (abs(self.lambda_bc) >= _LAMBDA_ZERO_EPS) & (
-            self.lambda_bc * t + 1.0 <= 0)
-        out = np.where(out_of_range, np.inf,
-                       self.inverse_transform(np.where(out_of_range, 0.0, t)))
+        if abs(self.lambda_bc) < _LAMBDA_ZERO_EPS:
+            out = np.exp(t) - self.shift
+        else:
+            base = self.lambda_bc * t + 1.0
+            bad = base <= 0  # not ~(base > 0): a NaN stays NaN
+            power = np.power(np.where(bad, 1.0, base), 1.0 / self.lambda_bc)
+            out = np.where(bad, np.inf, power - self.shift)
         return float(out) if np.isscalar(e) else out
 
 

@@ -22,6 +22,7 @@ from .errors import (ValidationError, json_int, json_number, json_object,
 from .ir import AstNode, ComputeStats, LoopInfo, ProgramAst
 
 N_ENTRY = 24  # computation-vector width; must stay even for the PE formulas
+DEVICE_FEATURES = 6  # width of device_vector
 THETA = 10000.0
 MARKER = -1
 _EXTENT_PRODUCT_LIMIT = 2 ** 62
@@ -134,7 +135,7 @@ class EncodedInput:
     """Model-ready input: PE-augmented leaf vectors plus device features."""
 
     matrix: np.ndarray  # (n_leaf, N_ENTRY)
-    device_vector: np.ndarray  # (6,)
+    device_vector: np.ndarray  # (DEVICE_FEATURES,)
 
     @property
     def n_leaf(self) -> int:

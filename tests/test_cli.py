@@ -1128,6 +1128,9 @@ def test_non_finite_checkpoint_tensor_is_input_error(workdir, tmp_path,
                  f"checkpoint = {tmp_path}/bad.npz\n", message)
 
 
+NO_SAMPLES = "{empty}: dataset has no samples"
+
+
 @pytest.mark.parametrize("argv, keys, code, message", [
     (["train"], {"splits": "{splits}", "epochs": "1"}, EXIT_OK, ""),
     (["train"], {"epochs": "abc"}, EXIT_INPUT,
@@ -1136,13 +1139,24 @@ def test_non_finite_checkpoint_tensor_is_input_error(workdir, tmp_path,
      "checkpoint has no fitted normalizer"),
     (["eval", "--split", "holdout"], {"splits": "{splits}"}, EXIT_INPUT,
      "split 'holdout' is empty"),
+    (["sample"], {"dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
+    (["dataset-split"], {"dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
+    (["predict"], {"dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
+    (["eval"], {"dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
+    (["finetune"], {"dataset": "{empty}", "target_dataset": "{data}"},
+     EXIT_INPUT, NO_SAMPLES),
+    (["finetune"], {"target_dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
+    (["finetune"], {"splits": "{no_train}", "target_dataset": "{data}"},
+     EXIT_INPUT, "finetune() needs non-empty train and valid splits"),
 ], ids=["train-on-splits-file", "unparsable-value", "no-normalizer",
-        "empty-eval-split"])
+        "empty-eval-split", "empty-dataset-sample", "empty-dataset-split",
+        "empty-dataset-predict", "empty-dataset-eval", "empty-finetune-source",
+        "empty-finetune-target", "empty-finetune-train-split"])
 def test_cli_path_on_split_or_config_or_checkpoint(workdir, tmp_path, capsys,
                                                    argv, keys, code, message):
     """`argv` on the shared dataset and model, with config `keys` set; a
-    splits file from `dataset-split` and a checkpoint without a normalizer
-    are at hand."""
+    splits file from `dataset-split`, one that puts no sample in train, an
+    empty dataset file and a checkpoint without a normalizer are at hand."""
     split_cfg = tmp_path / "split.cfg"
     split_cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
                          "split_seed = 4\n", encoding="utf-8")
@@ -1150,8 +1164,13 @@ def test_cli_path_on_split_or_config_or_checkpoint(workdir, tmp_path, capsys,
                  "dataset-split"]) == EXIT_OK
     params, _ = load_checkpoint(workdir / "train" / "checkpoint.npz")
     save_checkpoint(tmp_path / "bare.npz", params)
+    (tmp_path / "no_train.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     config = tmp_path / "c.cfg"
     names = {"splits": tmp_path / "split" / "splits.json",
+             "no_train": tmp_path / "no_train.json",
+             "empty": tmp_path / "empty.jsonl",
+             "data": workdir / "synth" / "dataset.jsonl",
              "bare": tmp_path / "bare.npz", "config": config}
     values = {"dataset": f"{workdir}/synth/dataset.jsonl",
               "devices": f"{workdir}/synth/devices.json",

@@ -112,7 +112,7 @@ def test_inference_matches_the_cached_training_pass(rng):
     assert [c.n_leaf for c in caches] == [1, 2, 3]
     assert [c.indices for c in caches] == [[2], [0, 4, 5], [1, 3]]
     for c in caches:
-        assert c.z.tobytes() == latents.z[c.indices].tobytes()
+        assert c.z_x.tobytes() == latents.z_x[c.indices].tobytes()
 
 
 def test_inference_holds_one_leaf_count_group_at_a_time():
@@ -143,17 +143,6 @@ def test_config_validation():
         cm.CostModelConfig(optimizer="lbfgs").validate()
     with pytest.raises(ValidationError, match="n_heads"):
         cm.CostModelConfig(n_heads=0).validate()  # not a ZeroDivisionError
-
-
-def test_full_reference_preset_values():
-    ref = cm.full_reference_config()
-    assert ref.batch_size == 600
-    assert ref.n_layers == 11
-    assert ref.lr == pytest.approx(1.68e-5)
-    assert ref.weight_decay == pytest.approx(0.0013)
-    assert ref.optimizer == "adam"
-    assert ref.lr_schedule == "cyclic"
-    assert ref.alpha_cmd == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +197,13 @@ def test_cmd_empty_set():
         cm.cmd(np.empty((0, 2)), np.ones((3, 2)), 5)
 
 
-def test_loss_finetune_composition():
+def test_cmd_two_point_example():
+    # unit support; only the even central moments differ: 1/4 + 1/16
     s1 = np.array([[0.0], [1.0]])
     s2 = np.array([[0.5], [0.5]])
-    base = cm.loss_pretrain([2.0], [1.0], 1e-3)
-    assert cm.loss_finetune([2.0], [1.0], s1, s2, 1e-3, 1.0, 5) == \
-        pytest.approx(base + 0.3125)
-    assert cm.loss_finetune([2.0], [1.0], s1, s2, 1e-3, 0.0, 5) == \
-        pytest.approx(base)
+    assert cm.cmd(s1, s2, 5) == pytest.approx(0.3125)
     same = np.array([[1.0], [2.0]])
-    assert cm.loss_finetune([2.0], [1.0], same, same.copy(), 1e-3, 3.0, 5) \
-        == pytest.approx(base)
-
-
-def test_loss_finetune_monotone_in_alpha(rng):
-    zs = rng.normal(size=(8, 3))
-    zt = rng.normal(loc=1.0, size=(8, 3))
-    values = [cm.loss_finetune([2.0], [1.0], zs, zt, 1e-3, a, 5)
-              for a in (0.0, 0.5, 1.0, 2.0, 4.0)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert cm.cmd(same, same.copy(), 5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +540,6 @@ def test_latent_epsilon_monotone_in_selection(rng):
         bigger = z_all[:k]
         eps.append(cm.latent_epsilon(z_all, bigger))
     assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
-
-
-def test_epsilon_diag_with_model(rng):
-    ds = _tiny_split_dataset(n=24)
-    config = cm.desk_config(d_model=16, d_ff=16, d_embed=8, n_heads=2,
-                            n_layers=1)
-    params = cm.init_params(config)
-    compacts = [s.compact for s in ds.samples[:10]]
-    assert cm.epsilon_diag(compacts, compacts, params,
-                           DEFAULT_SYNTH_DEVICE) == 0.0
-    eps = cm.epsilon_diag(compacts, compacts[:3], params,
-                          DEFAULT_SYNTH_DEVICE)
-    assert eps > 0.0
-    with pytest.raises(EmptySelection):
-        cm.epsilon_diag(compacts, [], params, DEFAULT_SYNTH_DEVICE)
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,26 @@ def test_lambda_half_example():
 
 
 def test_roundtrip_random_values(rng):
-    norm = BoxCoxNormalizer(lambda_bc=-0.37, shift=0.0, fitted=True)
+    # t_mean 0 and t_std 1 make decode's standardization exact: e*1 + 0 == e
+    norm = BoxCoxNormalizer(lambda_bc=-0.37, shift=0.0, fitted=True,
+                            t_mean=0.0, t_std=1.0)
     y = rng.uniform(1e-6, 10.0, size=1000)
-    back = norm.inverse_transform(norm.transform(y))
+    back = norm.decode(norm.transform(y))
     assert np.allclose(back, y, rtol=1e-6, atol=0)
-    tight = norm.inverse_transform(norm.transform(0.003))
+    tight = norm.decode(norm.transform(0.003))
     assert tight == pytest.approx(0.003, abs=1e-9)
 
 
 def test_not_fitted_and_domain_errors():
     with pytest.raises(NotFitted):
         BoxCoxNormalizer().transform(1.0)
-    norm = BoxCoxNormalizer(lambda_bc=0.5, shift=0.0, fitted=True)
+    with pytest.raises(NotFitted):
+        BoxCoxNormalizer().decode(np.array([1.0]))
+    norm = BoxCoxNormalizer(lambda_bc=0.5, shift=0.0, fitted=True,
+                            t_mean=0.0, t_std=1.0)
     with pytest.raises(DomainError):
-        norm.inverse_transform(-3.0)  # 0.5*(-3)+1 <= 0
+        norm.transform(-1.0)  # -1 + shift <= 0
+    assert norm.decode(-3.0) == math.inf  # 0.5*(-3)+1 <= 0: no preimage
 
 
 LAMBDAS = (st.floats(-1e-9, 1e-9) | st.floats(-2.0, -1e-3)
@@ -73,6 +79,10 @@ LAMBDAS = (st.floats(-1e-9, 1e-9) | st.floats(-2.0, -1e-3)
 # outputs whose np.exp / np.power overflows to +inf, next to finite ones
 @example(lam=0.0, t_mean=0.0, t_std=1.0, e=[800.0, -800.0, 0.5])
 @example(lam=1e-3, t_mean=0.0, t_std=10.0, e=[1e3, -1e3, -200.0])
+# non-finite outputs: NaN stays NaN; the log branch forms no lambda * t
+@example(lam=0.0, t_mean=0.0, t_std=1.0, e=[math.nan, math.inf, -math.inf])
+@example(lam=0.5, t_mean=0.0, t_std=1.0, e=[math.nan, math.inf, -math.inf])
+@example(lam=-0.37, t_mean=0.0, t_std=1.0, e=[math.nan, math.inf, -math.inf])
 def test_decode_is_inf_exactly_without_preimage(lam, t_mean, t_std, e):
     norm = BoxCoxNormalizer(lambda_bc=lam, shift=0.0, fitted=True,
                             t_mean=t_mean, t_std=t_std)
@@ -84,7 +94,9 @@ def test_decode_is_inf_exactly_without_preimage(lam, t_mean, t_std, e):
         no_preimage = lam * t + 1.0 <= 0
     with np.errstate(over="ignore"):
         out = norm.decode(e)
-        in_range = norm.inverse_transform(t[~no_preimage])
+        kept = t[~no_preimage]  # the closed-form inverse, where it exists
+        in_range = (np.exp(kept) if abs(lam) < 1e-9
+                    else np.power(lam * kept + 1.0, 1.0 / lam))
         # one prediction, as a numpy scalar (what `predict` passes) or float
         scalars = [norm.decode(v) for v in e] + [norm.decode(float(v))
                                                  for v in e]
