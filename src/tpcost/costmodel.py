@@ -9,6 +9,7 @@ and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import io
@@ -16,7 +17,9 @@ import itertools
 import json
 import math
 import operator
+import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -199,17 +202,17 @@ def _layer(prefix: str, parts: tuple[str, ...] = ("W", "b")):
     return operator.itemgetter(*(f"{prefix}.{part}" for part in parts))
 
 
-def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
-                   indices: list[int], x: np.ndarray, v: np.ndarray,
-                   caches: list[_GroupCache] | None):
-    """One leaf-count group through the network; `t` maps tensor names to
-    the parameter views. Returns (predictions, z_x, z). Only when `caches`
-    is a list are the activations kept, as a _GroupCache appended to it;
-    otherwise each layer's intermediates die once the next layer has used
-    them."""
-    keep = caches is not None
+def _encode(t: dict[str, np.ndarray], config: CostModelConfig,
+            x: np.ndarray, layer_caches: list[tuple] | None = None
+            ) -> np.ndarray:
+    """The encoder stack over x of shape (B, L, N_ENTRY): the input
+    projection, then each layer's attention, layer norms and FFN. Returns
+    (B, L, d_model). Every operation is per sample (a stacked
+    `(B, L, D) @ W` is one BLAS call per sample; layer norm, softmax and
+    ReLU work row by row), so encoding part of a batch gives that part's
+    rows bit for bit. Each layer's activations are appended to
+    `layer_caches` when it is a list."""
     h, _ = nn.linear_fwd(x, *_layer("input")(t))
-    layer_caches = []
     for i in range(config.n_layers):
         pre = f"enc{i}"
         attn_out, c_attn = nn.attention_fwd(
@@ -221,10 +224,62 @@ def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
         f_out, _ = nn.linear_fwd(f_act, *_layer(f"{pre}.ffn.o")(t))
         r2 = h1 + f_out
         h, c_ln2 = nn.layernorm_fwd(r2, *_layer(f"{pre}.ln2", _NORM)(t))
-        if keep:
+        if layer_caches is not None:
             layer_caches.append((c_attn, c_ln1, h1, ffn_mask, f_act, c_ln2))
-    bsz, length, dim = h.shape
-    flat = h.reshape(bsz, length * dim)
+    return h
+
+
+# Leaf rows (samples x leaves) from which an inference pass encodes a group
+# on two threads. Measured on 2 CPUs at the desk config, leaf counts 4, 8
+# and 16: the split ran at 0.3-1.0x the serial speed up to 192 rows, where
+# starting the thread and sharing the interpreter lock cost more than the
+# second CPU gains, 0.9-1.2x at 256 rows and 1.15-2.2x from 384 rows up
+# (1.4-2.2x at 512).
+_SPLIT_ROWS = 512
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _encode_split(t: dict[str, np.ndarray], config: CostModelConfig,
+                  x: np.ndarray) -> np.ndarray:
+    """`_encode` of the first half of the samples on a worker thread and of
+    the second half on this one, joined into one array: the same bits as
+    one call. The worker runs in a copy of the caller's context, which
+    holds numpy's error state, and its exception is re-raised here. A
+    thread per call keeps nothing alive between calls, so a forked child
+    inherits no pool."""
+    half = x.shape[0] // 2
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        first = worker.submit(contextvars.copy_context().run, _encode, t,
+                              config, x[:half])
+        second = _encode(t, config, x[half:])
+        return np.concatenate([first.result(), second])
+
+
+def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
+                   indices: list[int], x: np.ndarray, v: np.ndarray,
+                   caches: list[_GroupCache] | None):
+    """One leaf-count group through the network; `t` maps tensor names to
+    the parameter views. Returns (predictions, z_x, z). Only when `caches`
+    is a list are the activations kept, as a _GroupCache appended to it;
+    otherwise each layer's intermediates die once the next layer has used
+    them, and a group of at least _SPLIT_ROWS leaf rows is encoded on two
+    threads when the process may use two CPUs. The head (leaf embedding,
+    device MLP, decoder) runs once over the whole group."""
+    keep = caches is not None
+    layer_caches = [] if keep else None
+    bsz, length = x.shape[:2]
+    if (not keep and bsz > 1 and bsz * length >= _SPLIT_ROWS
+            and _usable_cpus() > 1):
+        h = _encode_split(t, config, x)
+    else:
+        h = _encode(t, config, x, layer_caches)
+    flat = h.reshape(bsz, length * config.d_model)
     z_x, _ = nn.linear_fwd(flat, *_layer(f"leaf_embed.{length}")(t))
     dev_pre, _ = nn.linear_fwd(v, *_layer("dev.hidden")(t))
     z_v, dev_mask = nn.relu_fwd(dev_pre)
@@ -254,7 +309,10 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     are grouped so that every sample is encoded over exactly its own n_leaf
     rows. Only `backward` passes `caches`, a list that receives one
     _GroupCache per group; without it no activations are retained and the
-    pass holds one group's activations at a time."""
+    pass holds one group's activations at a time. Without `caches`, a group
+    of at least _SPLIT_ROWS leaf rows (samples x leaves) is encoded on two
+    threads when the process may use two CPUs; no result bit depends on
+    it. The cached pass, and so `backward`, is single-threaded."""
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
@@ -286,7 +344,10 @@ def forward(params: CostModelParams,
             inputs: list[EncodedInput]) -> tuple[np.ndarray, LatentBatch]:
     """Predictions (in normalized label space) and latent embeddings. No
     activations are retained (only `backward` keeps them), so the pass
-    holds one leaf-count group's activations at a time."""
+    holds one leaf-count group's activations at a time. A group of at least
+    _SPLIT_ROWS leaf rows is encoded on two threads when the process may
+    use two CPUs, with the same result bits as one thread; smaller groups,
+    single predictions and `backward` stay on one thread."""
     return _forward(params, inputs)
 
 
@@ -300,6 +361,15 @@ def _linear_grad(t: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     gw += dw
     gb += db
     return dx
+
+
+def _linear_param_grad(grads: dict[str, np.ndarray], name: str,
+                       dy: np.ndarray, x: np.ndarray) -> None:
+    """`_linear_grad` for a layer whose input gradient nobody reads."""
+    gw, gb = _layer(name)(grads)
+    dw, db = nn.linear_param_grads(dy, x)
+    gw += dw
+    gb += db
 
 
 def _layernorm_grad(t: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -324,8 +394,8 @@ def _backward_group(t: dict[str, np.ndarray], config: CostModelConfig,
         du = _linear_grad(t, grads, f"dec.{i}", nn.relu_bwd(du, mask), u_in)
     dz = du if dz_extra is None else du + dz_extra
     dz_v = _linear_grad(t, grads, "dev.proj", dz * cache.z_x, cache.z_v)
-    _linear_grad(t, grads, "dev.hidden", nn.relu_bwd(dz_v, cache.dev_mask),
-                 cache.v)
+    _linear_param_grad(grads, "dev.hidden",
+                       nn.relu_bwd(dz_v, cache.dev_mask), cache.v)
     length = cache.n_leaf
     dflat = _linear_grad(t, grads, f"leaf_embed.{length}", dz * cache.zp,
                          cache.flat)
@@ -345,7 +415,7 @@ def _backward_group(t: dict[str, np.ndarray], config: CostModelConfig,
         for key, g in zip(_ATTN, attn(grads)):
             g += attn_grads[key]
         dh = dr1 + dh_attn
-    _linear_grad(t, grads, "input", dh, cache.x)
+    _linear_param_grad(grads, "input", dh, cache.x)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +791,9 @@ def predict_batch(params: CostModelParams, inputs: list[EncodedInput],
                   normalizer: BoxCoxNormalizer) -> np.ndarray:
     """Latencies in seconds for a batch that may mix leaf counts. One
     forward pass over the whole batch; it retains no activations (only
-    `backward` does), so it holds one leaf-count group's at a time."""
+    `backward` does), so it holds one leaf-count group's at a time, and it
+    encodes each group of at least _SPLIT_ROWS leaf rows on two threads
+    when two CPUs are usable. No result bit depends on the thread count."""
     pred_enc, _ = forward(params, inputs)
     return normalizer.decode(pred_enc)
 

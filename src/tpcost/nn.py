@@ -46,13 +46,17 @@ def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, x
 
 
-def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+def linear_param_grads(dy: np.ndarray, x: np.ndarray):
+    """The weight and bias gradients of `linear_fwd`, for a layer whose
+    input gradient nobody reads."""
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = dy @ w.T
-    return dx, dw, db
+    return x2.T @ dy2, dy2.sum(axis=0)
+
+
+def linear_bwd(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    dw, db = linear_param_grads(dy, x)
+    return dy @ w.T, dw, db
 
 
 def relu_fwd(x: np.ndarray):
@@ -98,21 +102,23 @@ def softmax_bwd(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
 
 
+def _heads(t: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, L, D) -> a (B, H, L, dh) view of the same memory."""
+    bsz, length, dim = t.shape
+    return t.reshape(bsz, length, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
+
+
 def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo,
                   n_heads: int):
     """Multi-head self-attention over x of shape (B, L, D)."""
-    bsz, length, dim = x.shape
-    dh = dim // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(t):  # (B, L, D) -> (B, H, L, dh)
-        return t.reshape(bsz, length, n_heads, dh).transpose(0, 2, 1, 3)
-
-    q, k, v = split(x @ wq + bq), split(x @ wk + bk), split(x @ wv + bv)
+    scale = 1.0 / math.sqrt(x.shape[-1] // n_heads)
+    q = _heads(x @ wq + bq, n_heads)
+    k = _heads(x @ wk + bk, n_heads)
+    v = _heads(x @ wv + bv, n_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale  # (B, H, L, L)
     attn = softmax_fwd(scores)
-    ctx = attn @ v  # (B, H, L, dh)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(bsz, length, dim)
+    merged = np.empty(x.shape)  # attn @ v, each head into its columns
+    np.matmul(attn, v, out=_heads(merged, n_heads))
     out = merged @ wo + bo
     cache = (x, q, k, v, attn, merged, scale)
     return out, cache
@@ -120,23 +126,18 @@ def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo,
 
 def attention_bwd(dy: np.ndarray, cache, wq, wk, wv, wo, n_heads: int):
     x, q, k, v, attn, merged, scale = cache
-    bsz, length, dim = x.shape
-    dh = dim // n_heads
-
     dmerged, dwo, dbo = linear_bwd(dy, merged, wo)
-    dctx = dmerged.reshape(bsz, length, n_heads, dh).transpose(0, 2, 1, 3)
+    dctx = _heads(dmerged, n_heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = softmax_bwd(dattn, attn) * scale
-    dq = dscores @ k
-    dk = dscores.transpose(0, 1, 3, 2) @ q
-
-    def merge(t):  # (B, H, L, dh) -> (B, L, D)
-        return t.transpose(0, 2, 1, 3).reshape(bsz, length, dim)
-
-    dxq, dwq, dbq = linear_bwd(merge(dq), x, wq)
-    dxk, dwk, dbk = linear_bwd(merge(dk), x, wk)
-    dxv, dwv, dbv = linear_bwd(merge(dv), x, wv)
+    # dq, dk and dv written per head straight into (B, L, D) arrays
+    dq, dk, dv = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    np.matmul(attn.transpose(0, 1, 3, 2), dctx, out=_heads(dv, n_heads))
+    np.matmul(dscores, k, out=_heads(dq, n_heads))
+    np.matmul(dscores.transpose(0, 1, 3, 2), q, out=_heads(dk, n_heads))
+    dxq, dwq, dbq = linear_bwd(dq, x, wq)
+    dxk, dwk, dbk = linear_bwd(dk, x, wk)
+    dxv, dwv, dbv = linear_bwd(dv, x, wv)
     dx = dxq + dxk + dxv
     return dx, {"Wq": dwq, "bq": dbq, "Wk": dwk, "bk": dbk,
                 "Wv": dwv, "bv": dbv, "Wo": dwo, "bo": dbo}

@@ -1,6 +1,12 @@
 import hashlib
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +140,187 @@ def test_inference_holds_one_leaf_count_group_at_a_time():
         traced_peak([e for e in inputs if e.n_leaf == n]) for n in range(1, 7))
     # a pass that kept every group's activations would peak near 3x this
     assert traced_peak(inputs) <= 1.25 * largest_group
+
+
+DESK = cm.desk_config()
+
+
+def leaf_group(rng, n_leaf, n, scale=1.0):
+    return [EncodedInput(matrix=scale * rng.normal(size=(n_leaf, N_ENTRY)),
+                         device_vector=rng.normal(size=6)) for _ in range(n)]
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Two usable CPUs whatever the host has; records the batch size of
+    every group encoded on two threads."""
+    monkeypatch.setattr(cm, "_usable_cpus", lambda: 2)
+    calls = []
+    encode_split = cm._encode_split
+
+    def spy(t, config, x):
+        calls.append(x.shape[0])
+        return encode_split(t, config, x)
+
+    monkeypatch.setattr(cm, "_encode_split", spy)
+    return calls
+
+
+def assert_same_as_cached_pass(params, inputs, normalizer):
+    pred_c, latents_c = cm._forward(params, inputs, caches=[])
+    pred, latents = cm.forward(params, inputs)
+    assert pred.tobytes() == pred_c.tobytes()
+    assert latents.z.tobytes() == latents_c.z.tobytes()
+    assert latents.z_x.tobytes() == latents_c.z_x.tobytes()
+    assert (cm.predict_batch(params, inputs, normalizer).tobytes()
+            == normalizer.decode(pred_c).tobytes())
+
+
+def test_split_inference_matches_the_cached_pass(split_calls):
+    # the cached pass is always encoded on one thread, so it is the oracle
+    rng = np.random.default_rng(3)
+    params = cm.init_params(DESK)
+    normalizer = cm.fit_boxcox(rng.lognormal(-9.0, 1.0, size=50))
+    expected = []  # forward's split groups, then predict_batch's
+    for n_leaf in range(1, DESK.n_leaf_max + 1):
+        for n in (2, 3, 5, 64, 129):
+            assert_same_as_cached_pass(params, leaf_group(rng, n_leaf, n),
+                                       normalizer)
+            if n * n_leaf >= cm._SPLIT_ROWS:
+                expected += [n, n]
+    mixed = [leaf_group(rng, int(rng.integers(1, 17)), 1)[0]
+             for _ in range(2000)]
+    assert_same_as_cached_pass(params, mixed, normalizer)
+    sizes = np.bincount([e.n_leaf for e in mixed]).tolist()
+    mixed_splits = [n for n_leaf, n in enumerate(sizes)
+                    if n * n_leaf >= cm._SPLIT_ROWS]
+    assert len(mixed_splits) >= 10
+    assert split_calls == expected + 2 * mixed_splits
+
+
+@pytest.mark.parametrize("n_leaf, n, splits", [(7, 73, False), (8, 64, True),
+                                               (9, 57, True)])
+def test_split_starts_at_the_row_floor(split_calls, n_leaf, n, splits):
+    # 511, 512 and 513 leaf rows
+    rng = np.random.default_rng(n)
+    params = cm.init_params(DESK)
+    normalizer = cm.fit_boxcox(rng.lognormal(-9.0, 1.0, size=50))
+    assert_same_as_cached_pass(params, leaf_group(rng, n_leaf, n), normalizer)
+    # forward and predict_batch split; the cached pass never does
+    assert split_calls == ([n, n] if splits else [])
+
+
+def test_one_usable_cpu_encodes_on_one_thread(split_calls, monkeypatch):
+    monkeypatch.setattr(cm, "_usable_cpus", lambda: 1)
+    cm.forward(cm.init_params(DESK),
+               leaf_group(np.random.default_rng(0), 16, 64))
+    assert split_calls == []
+
+
+def overflowing_group():
+    """A group above the floor whose first half, the worker's, overflows
+    in the attention scores; the caller's half is finite throughout."""
+    rng = np.random.default_rng(5)
+    return leaf_group(rng, 8, 32, scale=1e300) + leaf_group(rng, 8, 32)
+
+
+def test_split_worker_runs_under_the_callers_error_state(split_calls):
+    params = cm.init_params(DESK)
+    inputs = overflowing_group()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):  # the worker warns unless it has it
+            pred, _ = cm.forward(params, inputs)
+            pred_c, _ = cm._forward(params, inputs, caches=[])
+    assert pred.tobytes() == pred_c.tobytes()
+    assert np.all(np.isfinite(pred[32:]))
+    with pytest.raises(FloatingPointError):
+        with np.errstate(over="raise"):
+            cm.forward(params, inputs)
+    assert split_calls == [64, 64]
+
+
+def test_split_worker_exception_reaches_the_caller(split_calls, monkeypatch):
+    caller = threading.get_ident()
+    layernorm_fwd = nn.layernorm_fwd
+
+    class Boom(Exception):
+        pass
+
+    def failing_in_worker(x, g, b):
+        if threading.get_ident() != caller:
+            raise Boom
+        return layernorm_fwd(x, g, b)
+
+    monkeypatch.setattr(nn, "layernorm_fwd", failing_in_worker)
+    threads = threading.active_count()
+    with pytest.raises(Boom):
+        cm.forward(cm.init_params(DESK),
+                   leaf_group(np.random.default_rng(0), 16, 64))
+    assert split_calls == [64]
+    assert threading.active_count() == threads  # the worker was joined
+
+
+def test_concurrent_split_callers_get_their_own_results(split_calls):
+    # four callers, each splitting its group: eight threads on the CPUs,
+    # switching often, and every caller gets the bits of the serial pass
+    params = cm.init_params(DESK)
+    rng = np.random.default_rng(2)
+    batches = [leaf_group(rng, 16, 40 + 8 * i) for i in range(4)]
+    expected = [cm._forward(params, b, caches=[])[0].tobytes()
+                for b in batches]
+    results = [None] * len(batches)
+
+    def caller(i):
+        for _ in range(5):
+            pred = cm.forward(params, batches[i])[0].tobytes()
+            if results[i] is None or pred != expected[i]:
+                results[i] = pred
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(len(batches))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == expected
+    assert len(split_calls) == 5 * len(batches)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_inference_works_after_fork(split_calls):
+    params = cm.init_params(DESK)
+    inputs = leaf_group(np.random.default_rng(0), 16, 64)
+    pred, _ = cm.forward(params, inputs)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: one more split pass, its bytes to the parent
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                out.write(cm.forward(params, inputs)[0].tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as child_out:
+        child_pred = child_out.read()  # until the child exits
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail("the forked child did not exit")
+        time.sleep(0.01)
+    assert done[1] == 0
+    assert child_pred == pred.tobytes()
+    assert split_calls == [64]
 
 
 def test_config_validation():
