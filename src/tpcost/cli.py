@@ -240,14 +240,6 @@ def _load_devices(config: RunConfig) -> dict:
     return load_device_catalog(path)
 
 
-def _load_model(config: RunConfig):
-    """The checkpoint's parameters and its fitted normalizer."""
-    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
-    if normalizer is None:
-        raise TpcostError("checkpoint has no fitted normalizer")
-    return params, normalizer
-
-
 def _load_splits(path: str) -> dict[str, str]:
     """A splits file: a JSON object of sample id to split name."""
     splits = json_object(read_json(path), f"{path}: splits")
@@ -376,7 +368,7 @@ def cmd_train(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_finetune(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = _load_model(config)
+    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
     n_leaf_max = params.config.n_leaf_max
     source = _load_split_dataset(config, devices, n_leaf_max)
     target = _load_dataset_for(config.require("target_dataset"), devices,
@@ -433,7 +425,7 @@ def _score_checkpoint(config: RunConfig, run: RunDir, split: str | None):
     """Scores the checkpoint on the dataset, or on its `split` given a splits
     file: writes and prints the metrics, returns samples and predictions."""
     devices = _load_devices(config)
-    params, normalizer = _load_model(config)
+    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
     ds = _load_dataset_for(config.require("dataset"), devices,
                            params.config.n_leaf_max)
     samples = ds.samples
@@ -467,7 +459,7 @@ def cmd_eval(args, config: RunConfig, run: RunDir) -> int:
 
 def cmd_replay(args, config: RunConfig, run: RunDir) -> int:
     devices = _load_devices(config)
-    params, normalizer = _load_model(config)
+    params, normalizer = cm.load_checkpoint(config.require("checkpoint"))
     device_name = config.require("device")
     if device_name not in devices:
         raise TpcostError(f"unknown device '{device_name}'")
@@ -505,7 +497,6 @@ def cmd_tune(args, config: RunConfig, run: RunDir) -> int:
         "optimizer": ["adam", "sgd"],
         "lr_schedule": ["constant", "cyclic"],
         "batch_size": [32, 64],
-        "alpha_cmd": [0.0, 0.1, 1.0],
     }
     base = replace(config.model_config(),
                    epochs=min(config.tune_epochs, config.epochs))

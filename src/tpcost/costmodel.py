@@ -18,7 +18,6 @@ import json
 import math
 import operator
 import os
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import nn
 from .dataset import BoxCoxNormalizer, Dataset, fit_boxcox
 from .errors import (CheckpointError, DimensionMismatch, EmptyBatch,
-                     EmptyDataset, EmptySelection, EmptySet,
+                     EmptyDataset, EmptySet,
                      LeafCountExceeded, NonFiniteLoss, ValidationError,
                      json_bool, json_int, json_list, json_number, json_str)
 from .features import (DEVICE_FEATURES, N_ENTRY, CompactAst, DeviceSpec,
@@ -309,10 +308,7 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     are grouped so that every sample is encoded over exactly its own n_leaf
     rows. Only `backward` passes `caches`, a list that receives one
     _GroupCache per group; without it no activations are retained and the
-    pass holds one group's activations at a time. Without `caches`, a group
-    of at least _SPLIT_ROWS leaf rows (samples x leaves) is encoded on two
-    threads when the process may use two CPUs; no result bit depends on
-    it. The cached pass, and so `backward`, is single-threaded."""
+    pass holds one group's activations at a time."""
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
@@ -840,21 +836,6 @@ def tune(space: dict, budget: int, ds: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# Coverage diagnostic
-# ---------------------------------------------------------------------------
-
-def latent_epsilon(z_all: np.ndarray, z_selected: np.ndarray) -> float:
-    """max over all points of the distance to the nearest selected point."""
-    z_all = np.atleast_2d(np.asarray(z_all, dtype=np.float64))
-    z_selected = np.atleast_2d(np.asarray(z_selected, dtype=np.float64))
-    if z_selected.shape[0] == 0:
-        raise EmptySelection("need at least one selected point")
-    diff = z_all[:, None, :] - z_selected[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    return float(dist.min(axis=1).max())
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
@@ -872,13 +853,13 @@ def _tensor_checksum(tensors: dict[str, np.ndarray]) -> str:
 
 
 def save_checkpoint(path, params: CostModelParams,
-                    normalizer: BoxCoxNormalizer | None = None) -> None:
+                    normalizer: BoxCoxNormalizer) -> None:
     """Single-file checkpoint: config + normalizer as JSON metadata, tensors
     as float64 arrays, with a content checksum verified on load."""
     meta = {
         "version": _CHECKPOINT_VERSION,
         "config": asdict(params.config),
-        "normalizer": asdict(normalizer) if normalizer is not None else None,
+        "normalizer": asdict(normalizer),
         "checksum": _tensor_checksum(params.tensors),
     }
     meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
@@ -899,57 +880,51 @@ def _from_json(cls, raw, what: str, ignore: tuple[str, ...] = (), **low):
     keys dropped), each typed as its default; `low` bounds float fields."""
     names = sorted(f.name for f in fields(cls))
     if not isinstance(raw, dict) or sorted(set(raw) - set(ignore)) != names:
-        raise CheckpointError(
+        raise ValidationError(
             f"{what} must be a JSON object with the keys {names}")
-    try:
-        return cls(**{f.name: _FIELD_CHECKS[type(f.default)](
-            raw[f.name], f"{what}: {f.name}", *low.get(f.name, ()))
-            for f in fields(cls)})
-    except ValidationError as e:
-        raise CheckpointError(str(e)) from e
+    return cls(**{f.name: _FIELD_CHECKS[type(f.default)](
+        raw[f.name], f"{what}: {f.name}", *low.get(f.name, ()))
+        for f in fields(cls)})
 
 
-def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer | None]:
-    """Inverse of `save_checkpoint`. Any malformed file, metadata block or
-    config, tensors that do not fit the config or hold a non-finite value,
-    or a normalizer field out of range (a non-finite one, `t_std <= 0`,
-    `shift < 0`) raise CheckpointError.
+def load_checkpoint(path) -> tuple[CostModelParams, BoxCoxNormalizer]:
+    """Inverse of `save_checkpoint`: the parameters and the fitted
+    normalizer. A file that is not such an npz archive, a malformed
+    metadata block, config or normalizer (a normalizer field out of range
+    too: a non-finite one, `t_std <= 0`, `shift < 0`), and tensors that do
+    not fit the config or hold a non-finite value raise CheckpointError.
     Checkpoints written before the objective lost its `mape_space` option
     carry that config key; it is dropped."""
     try:
-        with np.load(path) as data:
-            if "__meta__" not in data:
-                raise CheckpointError("missing metadata block")
+        # NpzFile opens only a zip archive, where np.load would guess the
+        # format; zipfile and numpy raise no closed set of exceptions on
+        # arbitrary bytes, so any failure while reading is the file's
+        with open(path, "rb") as f, np.lib.npyio.NpzFile(f) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             tensors = {name: np.asarray(data[name], dtype=np.float64)
                        for name in data.files if name != "__meta__"}
-    except (ValueError, KeyError, OSError, zipfile.BadZipFile) as e:
+    except Exception as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
     keys = ("version", "config", "normalizer", "checksum")
     if not isinstance(meta, dict) or not all(k in meta for k in keys):
         raise CheckpointError(f"metadata must be a JSON object with {keys}")
     try:
         if json_int(meta["version"], "version") != _CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported version {meta['version']!r}")
-    except ValidationError as e:
-        raise CheckpointError(str(e)) from e
-    if _tensor_checksum(tensors) != meta["checksum"]:
-        raise CheckpointError("checksum mismatch: corrupt checkpoint")
-    config = _from_json(CostModelConfig, meta["config"], "config",
-                        ignore=("mape_space",))
-    try:
+            raise ValidationError(f"unsupported version {meta['version']!r}")
+        if _tensor_checksum(tensors) != meta["checksum"]:
+            raise CheckpointError("checksum mismatch: corrupt checkpoint")
+        config = _from_json(CostModelConfig, meta["config"], "config",
+                            ignore=("mape_space",))
         config.validate()
-    except ValidationError as e:
-        raise CheckpointError(f"config: {e}") from e
-    # bounded, so a corrupt size in the config cannot run away
-    expected = itertools.islice(_tensor_shapes(config), len(tensors) + 1)
-    if dict(expected) != {name: a.shape for name, a in tensors.items()}:
-        raise CheckpointError("tensors do not match the config")
-    if bad := [name for name, a in tensors.items() if not np.isfinite(a).all()]:
-        raise CheckpointError(f"tensor '{bad[0]}' holds a non-finite value")
-    params = CostModelParams(config=config, tensors=tensors)
-    norm = None
-    if meta["normalizer"] is not None:
+        # bounded, so a corrupt size in the config cannot run away
+        expected = itertools.islice(_tensor_shapes(config), len(tensors) + 1)
+        if dict(expected) != {name: a.shape for name, a in tensors.items()}:
+            raise CheckpointError("tensors do not match the config")
+        if bad := [n for n, a in tensors.items() if not np.isfinite(a).all()]:
+            raise CheckpointError(
+                f"tensor '{bad[0]}' holds a non-finite value")
         norm = _from_json(BoxCoxNormalizer, meta["normalizer"], "normalizer",
                           t_std=(0.0, False), shift=(0.0,))
-    return params, norm
+    except ValidationError as e:  # the metadata's, named by its file
+        raise CheckpointError(f"{path}: {e}") from e
+    return CostModelParams(config=config, tensors=tensors), norm

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints, TooFewTasks, ValidationError
+from .errors import (DimensionMismatch, EmptySelection, TooFewPoints,
+                     TooFewTasks, ValidationError)
 
 KMEANS_MAX_ITER = 300
 
@@ -142,3 +143,13 @@ def select_tasks(x, kappa: int, tasks: list[TaskFeatureSet], seed: int = 0,
         selected.append(table.task_ids[best])
         remaining.discard(best)
     return selected
+
+
+def latent_epsilon(z_all, z_selected) -> float:
+    """Coverage of a selection: the largest distance from any point to its
+    nearest selected point, by the distance k-means clusters with."""
+    z_all = np.atleast_2d(np.asarray(z_all, dtype=np.float64))
+    z_selected = np.atleast_2d(np.asarray(z_selected, dtype=np.float64))
+    if z_selected.shape[0] == 0:
+        raise EmptySelection("need at least one selected point")
+    return float(_pairwise_dist(z_all, z_selected).min(axis=1).max())

@@ -1,6 +1,7 @@
-"""Rewrite the JSON metadata block of a checkpoint file, for tests of what
-`load_checkpoint` accepts."""
+"""Files for tests of what `load_checkpoint` accepts: a checkpoint with its
+JSON metadata block rewritten, and a `.npy` file, which is no checkpoint."""
 
+import io
 import json
 
 import numpy as np
@@ -16,3 +17,10 @@ def rewrite_meta(src, dst, edit) -> None:
                                dtype=np.uint8)
     with open(dst, "wb") as f:
         np.savez(f, __meta__=meta_bytes, **tensors)
+
+
+def npy_bytes(array) -> bytes:
+    """The bytes of `np.save(array)`."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()

@@ -24,7 +24,7 @@ from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, SynthOracleConfig,
 from tpcost.features import (N_ENTRY, CompactAst, EncodedInput, encode_input,
                              positional_encoding)
 from tpcost.replayer import Dfg, DfgNode, simulate
-from tpcost.sampling import TaskFeatureSet, select_tasks
+from tpcost.sampling import TaskFeatureSet, latent_epsilon, select_tasks
 
 pytestmark = pytest.mark.acceptance
 
@@ -162,7 +162,7 @@ def test_criterion_3_sampling_conformance():
 
         def coverage_eps(ids):
             sel = np.concatenate([features_by_id[i] for i in ids], axis=0)
-            return cm.latent_epsilon(x, sel)
+            return latent_epsilon(x, sel)
 
         algo_eps, random_eps = [], []
         for seed in range(10):

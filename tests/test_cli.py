@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkpoint_meta import rewrite_meta
+from checkpoint_meta import npy_bytes, rewrite_meta
 
 from tpcost.cli import (_MODEL_KEYS, _ORACLE_KEYS, _SCHEMA, EXIT_INPUT,
                         EXIT_OK, EXIT_USAGE, load_run_config, main)
@@ -391,13 +391,19 @@ batch_size = 32
 budget = 2
 tune_epochs = 1
 seed = 1
+alpha_cmd = 0.5
 """, encoding="utf-8")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "tu"),
                  "tune"]) == EXIT_OK
     best = json.loads((tmp_path / "tu" / "best_config.json").read_text())
     assert best["epochs"] == 1
-    trials = (tmp_path / "tu" / "trials.csv").read_text().splitlines()
-    assert len(trials) == 3  # header + 2 trials
+    with open(tmp_path / "tu" / "trials.csv", newline="",
+              encoding="utf-8") as f:
+        trials = [json.loads(row["config"]) for row in csv.DictReader(f)]
+    assert len(trials) == 2
+    # train has no target pool, so alpha_cmd is not searched: every config
+    # keeps the run config's value
+    assert [c["alpha_cmd"] for c in [best, *trials]] == [0.5] * 3
 
 
 def test_invalid_log_level_warns(workdir, tmp_path, monkeypatch, capsys):
@@ -1112,6 +1118,30 @@ def test_normalizer_out_of_range_is_input_error(workdir, tmp_path, capsys,
                  f"checkpoint = {bad}\n", field)
 
 
+NOT_A_ZIP = "error: cannot read checkpoint: File is not a zip file"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", NOT_A_ZIP), (npy_bytes(np.linspace(0.0, 1.0, 5)), NOT_A_ZIP),
+    (b"dataset = x.jsonl\n", NOT_A_ZIP),
+    (None, "error: cannot read checkpoint: [Errno 2] No such file or "
+           "directory: '{bad}'"),
+], ids=["empty", "npy", "text", "missing"])
+def test_checkpoint_that_is_no_npz_is_input_error(workdir, tmp_path, capsys,
+                                                  content, message):
+    bad = tmp_path / "bad.npz"
+    if content is not None:
+        bad.write_bytes(content)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
+                   f"devices = {workdir}/synth/devices.json\n"
+                   f"checkpoint = {bad}\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eval"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT, err
+    assert err.splitlines() == [message.format(bad=bad)]
+
+
 def test_non_finite_checkpoint_tensor_is_input_error(workdir, tmp_path,
                                                     capsys):
     params, norm = load_checkpoint(workdir / "train" / "checkpoint.npz")
@@ -1136,7 +1166,7 @@ NO_SAMPLES = "{empty}: dataset has no samples"
     (["train"], {"epochs": "abc"}, EXIT_INPUT,
      "{config}:4: bad value for 'epochs'"),
     (["predict"], {"checkpoint": "{bare}"}, EXIT_INPUT,
-     "checkpoint has no fitted normalizer"),
+     "{bare}: normalizer must be a JSON object with the keys"),
     (["eval", "--split", "holdout"], {"splits": "{splits}"}, EXIT_INPUT,
      "split 'holdout' is empty"),
     (["sample"], {"dataset": "{empty}"}, EXIT_INPUT, NO_SAMPLES),
@@ -1156,14 +1186,15 @@ def test_cli_path_on_split_or_config_or_checkpoint(workdir, tmp_path, capsys,
                                                    argv, keys, code, message):
     """`argv` on the shared dataset and model, with config `keys` set; a
     splits file from `dataset-split`, one that puts no sample in train, an
-    empty dataset file and a checkpoint without a normalizer are at hand."""
+    empty dataset file and a checkpoint whose normalizer is null are at
+    hand."""
     split_cfg = tmp_path / "split.cfg"
     split_cfg.write_text(f"dataset = {workdir}/synth/dataset.jsonl\n"
                          "split_seed = 4\n", encoding="utf-8")
     assert main(["--config", str(split_cfg), "--out", str(tmp_path / "split"),
                  "dataset-split"]) == EXIT_OK
-    params, _ = load_checkpoint(workdir / "train" / "checkpoint.npz")
-    save_checkpoint(tmp_path / "bare.npz", params)
+    rewrite_meta(workdir / "train" / "checkpoint.npz", tmp_path / "bare.npz",
+                 lambda m: {**m, "normalizer": None})
     (tmp_path / "no_train.json").write_text("{}", encoding="utf-8")
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     config = tmp_path / "c.cfg"

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -11,13 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from checkpoint_meta import rewrite_meta
+from checkpoint_meta import npy_bytes, rewrite_meta
 from oracles import cmd_bruteforce
 
 from tpcost import costmodel as cm
-from tpcost import nn
-from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, Dataset, SynthOracleConfig,
+from tpcost import nn, sampling
+from tpcost.dataset import (DEFAULT_SYNTH_DEVICE, BoxCoxNormalizer, Dataset,
+                            SynthOracleConfig,
                             generate_synthetic, split_dataset)
 from tpcost.errors import (CheckpointError, EmptyBatch, EmptySelection,
                            EmptySet, LeafCountExceeded, NonFiniteLoss,
@@ -29,6 +33,9 @@ DEVICES = {DEFAULT_SYNTH_DEVICE.name: DEFAULT_SYNTH_DEVICE}
 TINY = cm.CostModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=8,
                           d_embed=6, d_device=3, decoder_dims=(6,),
                           n_leaf_max=3, batch_size=4, epochs=1, seed=0)
+
+FITTED = BoxCoxNormalizer(lambda_bc=0.25, fitted=True, t_mean=1.5, t_std=2.0,
+                          loss_offset=3.0)
 
 
 def rand_inputs(rng, n, leaf_range=(1, 4)):
@@ -713,19 +720,19 @@ def test_tune_budget_one_and_determinism():
 
 def test_latent_epsilon_examples():
     z = np.array([[0.0], [1.0], [2.0]])
-    assert cm.latent_epsilon(z, z) == 0.0
-    assert cm.latent_epsilon(z, np.array([[0.0], [2.0]])) == 1.0
+    assert sampling.latent_epsilon(z, z) == 0.0
+    assert sampling.latent_epsilon(z, np.array([[0.0], [2.0]])) == 1.0
     with pytest.raises(EmptySelection):
-        cm.latent_epsilon(z, np.empty((0, 1)))
+        sampling.latent_epsilon(z, np.empty((0, 1)))
 
 
 def test_latent_epsilon_monotone_in_selection(rng):
     z_all = rng.normal(size=(30, 4))
     chosen = [z_all[:3]]
-    eps = [cm.latent_epsilon(z_all, chosen[0])]
+    eps = [sampling.latent_epsilon(z_all, chosen[0])]
     for k in range(4, 12):
         bigger = z_all[:k]
-        eps.append(cm.latent_epsilon(z_all, bigger))
+        eps.append(sampling.latent_epsilon(z_all, bigger))
     assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
 
 
@@ -754,7 +761,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_checksum_detects_corruption(tmp_path):
     params = cm.init_params(TINY)
     path = tmp_path / "model.npz"
-    cm.save_checkpoint(path, params)
+    cm.save_checkpoint(path, params, FITTED)
     blob = bytearray(path.read_bytes())
     for i in range(len(blob) // 4, 3 * len(blob) // 4, 97):
         blob[i] ^= 0xFF  # guaranteed to hit tensor payload somewhere
@@ -825,3 +832,48 @@ def test_checkpoint_normalizer_out_of_range_is_rejected(tmp_path, field,
                                                 field: value}})
     with pytest.raises(CheckpointError, match=field):
         cm.load_checkpoint(tmp_path / "bad.npz")
+
+
+def _checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.npz")
+        cm.save_checkpoint(path, cm.init_params(TINY), FITTED)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+CHECKPOINT = _checkpoint_bytes()
+CENTRAL_DIR = CHECKPOINT.index(b"PK\x01\x02")  # the first member's entry
+
+
+def _with_byte(blob: bytes, at: int, value: int) -> bytes:
+    return blob[:at] + bytes([value]) + blob[at + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.binary(max_size=64)
+       | st.integers(0, len(CHECKPOINT)).map(lambda n: CHECKPOINT[:n])
+       | st.builds(_with_byte, st.just(CHECKPOINT),
+                   st.integers(0, len(CHECKPOINT) - 1), st.integers(0, 255)))
+@example(blob=b"")
+@example(blob=npy_bytes(np.linspace(0.0, 1.0, 5)))
+@example(blob=b"dataset = runs/synth/dataset.jsonl\n")
+@example(blob=CHECKPOINT[:30])
+@example(blob=CHECKPOINT[:len(CHECKPOINT) // 2])
+@example(blob=CHECKPOINT[:-1])
+# zipfile raises EOFError for a first member whose local extra field runs
+# past the end of the file, NotImplementedError for an unknown compression
+# method and RuntimeError for a member flagged as encrypted
+@example(blob=_with_byte(CHECKPOINT, 29, 0xFF))
+@example(blob=_with_byte(CHECKPOINT, CENTRAL_DIR + 10, 0x7F))
+@example(blob=_with_byte(CHECKPOINT, CENTRAL_DIR + 8, 0x01))
+@example(blob=CHECKPOINT)
+def test_any_bytes_load_or_raise_checkpoint_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "any_bytes.npz"
+    path.write_bytes(blob)
+    try:
+        params, norm = cm.load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(params, cm.CostModelParams)
+    assert isinstance(norm, BoxCoxNormalizer)
