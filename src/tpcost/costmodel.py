@@ -236,6 +236,11 @@ def _encode(t: dict[str, np.ndarray], config: CostModelConfig,
 # (1.4-2.2x at 512).
 _SPLIT_ROWS = 512
 
+# Leaf rows per `_encode` call of an inference pass over a larger group: on
+# 2 CPUs at the desk config 128 rows ran at 0.84-1.01x the whole-group time,
+# 256 at 0.72-0.84x, and 512 at 0.78-0.85x, its temporaries mapped afresh.
+_CHUNK_ROWS = 256
+
 
 def _usable_cpus() -> int:
     try:
@@ -244,40 +249,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _encode_split(t: dict[str, np.ndarray], config: CostModelConfig,
-                  x: np.ndarray) -> np.ndarray:
-    """`_encode` of the first half of the samples on a worker thread and of
-    the second half on this one, joined into one array: the same bits as
-    one call. The worker runs in a copy of the caller's context, which
-    holds numpy's error state, and its exception is re-raised here. A
-    thread per call keeps nothing alive between calls, so a forked child
-    inherits no pool."""
-    half = x.shape[0] // 2
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        first = worker.submit(contextvars.copy_context().run, _encode, t,
-                              config, x[:half])
-        second = _encode(t, config, x[half:])
-        return np.concatenate([first.result(), second])
+def _encode_chunks(t: dict[str, np.ndarray], config: CostModelConfig,
+                   mats: list[np.ndarray], out: np.ndarray) -> None:
+    """`_encode` of the leaf matrices `mats` into `out`, stacked at most
+    _CHUNK_ROWS leaf rows per call, with the bits of one call."""
+    step = max(1, _CHUNK_ROWS // out.shape[1])
+    for s in range(0, len(mats), step):
+        out[s:s + step] = _encode(t, config, np.stack(mats[s:s + step]))
 
 
 def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
-                   indices: list[int], x: np.ndarray, v: np.ndarray,
-                   caches: list[_GroupCache] | None):
-    """One leaf-count group through the network; `t` maps tensor names to
-    the parameter views. Returns (predictions, z_x, z). Only when `caches`
-    is a list are the activations kept, as a _GroupCache appended to it;
-    otherwise each layer's intermediates die once the next layer has used
-    them, and a group of at least _SPLIT_ROWS leaf rows is encoded on two
-    threads when the process may use two CPUs. The head (leaf embedding,
-    device MLP, decoder) runs once over the whole group."""
+                   indices: list[int], encs: list[EncodedInput],
+                   caches: list[_GroupCache] | None, queued=None):
+    """One leaf-count group `encs` through the network; `t` maps tensor
+    names to the parameter views. Returns (predictions, z_x, z). Only when
+    `caches` is a list are the activations kept, in a _GroupCache appended
+    to it. Otherwise `_encode_chunks` encodes a group of over _CHUNK_ROWS
+    leaf rows; `queued` is (its output, the count of leading samples the
+    worker encodes, their future). The head runs once over the group."""
     keep = caches is not None
     layer_caches = [] if keep else None
-    bsz, length = x.shape[:2]
-    if (not keep and bsz > 1 and bsz * length >= _SPLIT_ROWS
-            and _usable_cpus() > 1):
-        h = _encode_split(t, config, x)
-    else:
+    bsz, length = len(encs), encs[0].n_leaf
+    # one input is a view, not a copy
+    stack = (lambda a: a[0][None]) if bsz == 1 else np.stack
+    v = stack([e.device_vector for e in encs])
+    if keep or bsz * length <= _CHUNK_ROWS:
+        x = stack([e.matrix for e in encs])
         h = _encode(t, config, x, layer_caches)
+    else:
+        h, half, first = queued or (
+            np.empty((bsz, length, config.d_model)), 0, None)
+        _encode_chunks(t, config, [e.matrix for e in encs[half:]], h[half:])
+        if first is not None:
+            first.result()
     flat = h.reshape(bsz, length * config.d_model)
     z_x, _ = nn.linear_fwd(flat, *_layer(f"leaf_embed.{length}")(t))
     dev_pre, _ = nn.linear_fwd(v, *_layer("dev.hidden")(t))
@@ -307,8 +311,9 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     """Returns (predictions, LatentBatch). Inputs may mix leaf counts; they
     are grouped so that every sample is encoded over exactly its own n_leaf
     rows. Only `backward` passes `caches`, a list that receives one
-    _GroupCache per group; without it no activations are retained and the
-    pass holds one group's activations at a time."""
+    _GroupCache per group. Without it, one worker thread started and joined
+    here encodes the first half of each group of at least _SPLIT_ROWS rows
+    in a copy of the caller's context. An error cancels the queued halves."""
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
@@ -323,27 +328,38 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     pred = np.empty(n)
     z_x_all = np.empty((n, config.d_embed))
     z_all = np.empty((n, config.d_embed))
-    for n_leaf in sorted(groups):
-        idx = groups[n_leaf]
-        if len(idx) == 1:  # a view of the one input, not a copy
-            x = inputs[idx[0]].matrix[None]
-            v = inputs[idx[0]].device_vector[None]
-        else:
-            x = np.stack([inputs[i].matrix for i in idx])
-            v = np.stack([inputs[i].device_vector for i in idx])
-        pred[idx], z_x_all[idx], z_all[idx] = _forward_group(
-            params.tensors.views, config, idx, x, v, caches)
+    t = params.tensors.views
+    split = [k for k in sorted(groups) if caches is None
+             and len(groups[k]) > 1 and k * len(groups[k]) >= _SPLIT_ROWS]
+    worker = ThreadPoolExecutor(1) if split and _usable_cpus() > 1 else None
+    queued = {}
+    try:
+        for n_leaf in split if worker else ():
+            idx = groups[n_leaf]
+            h = np.empty((len(idx), n_leaf, config.d_model))
+            half = len(idx) // 2
+            queued[n_leaf] = h, half, worker.submit(
+                contextvars.copy_context().run, _encode_chunks, t, config,
+                [inputs[i].matrix for i in idx[:half]], h[:half])
+        for n_leaf in sorted(groups):
+            idx = groups[n_leaf]
+            pred[idx], z_x_all[idx], z_all[idx] = _forward_group(
+                t, config, idx, [inputs[i] for i in idx], caches,
+                queued.pop(n_leaf, None))
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
     return pred, LatentBatch(z_x=z_x_all, z=z_all)
 
 
 def forward(params: CostModelParams,
             inputs: list[EncodedInput]) -> tuple[np.ndarray, LatentBatch]:
     """Predictions (in normalized label space) and latent embeddings. No
-    activations are retained (only `backward` keeps them), so the pass
-    holds one leaf-count group's activations at a time. A group of at least
-    _SPLIT_ROWS leaf rows is encoded on two threads when the process may
-    use two CPUs, with the same result bits as one thread; smaller groups,
-    single predictions and `backward` stay on one thread."""
+    activations are retained (only `backward` keeps them), and a group of
+    more than _CHUNK_ROWS leaf rows is encoded in chunks of at most that
+    many, so each thread holds at most one chunk's activations. One worker
+    thread per call, given two usable CPUs, encodes half of each group of
+    at least _SPLIT_ROWS rows. No result bit depends on chunks or threads."""
     return _forward(params, inputs)
 
 
@@ -785,11 +801,10 @@ def predict(params: CostModelParams, compact: CompactAst, device: DeviceSpec,
 
 def predict_batch(params: CostModelParams, inputs: list[EncodedInput],
                   normalizer: BoxCoxNormalizer) -> np.ndarray:
-    """Latencies in seconds for a batch that may mix leaf counts. One
-    forward pass over the whole batch; it retains no activations (only
-    `backward` does), so it holds one leaf-count group's at a time, and it
-    encodes each group of at least _SPLIT_ROWS leaf rows on two threads
-    when two CPUs are usable. No result bit depends on the thread count."""
+    """Latencies in seconds for a batch that may mix leaf counts: one
+    `forward` pass over the whole batch, which holds at most one chunk of
+    _CHUNK_ROWS leaf rows' activations per thread and uses one worker
+    thread per call. No result bit depends on chunks or threads."""
     pred_enc, _ = forward(params, inputs)
     return normalizer.decode(pred_enc)
 

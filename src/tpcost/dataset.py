@@ -509,10 +509,12 @@ def sample_from_dict(d) -> Sample:
     n_leaf = json_int(d["n_leaf"], "n_leaf", 1)
     rows = json_list(d["vectors"], "vectors", lambda row, what: json_list(
         row, what, json_number, N_ENTRY), n_leaf)
-    compact = CompactAst(
-        leaf_vectors=np.array(rows), n_leaf=n_leaf,
-        ordering=tuple(json_list(d["ordering"], "ordering", json_int, n_leaf)),
-        serialized=tuple(json_list(d["serialized"], "serialized", json_int)))
+    serialized = tuple(json_list(d["serialized"], "serialized", json_int))
+    # each ordering entry is a leaf's position in `serialized`
+    ordering = json_list(d["ordering"], "ordering", lambda o, what: json_int(
+        o, what, 0, len(serialized) - 1), n_leaf)
+    compact = CompactAst(leaf_vectors=np.array(rows), n_leaf=n_leaf,
+                         ordering=tuple(ordering), serialized=serialized)
     return Sample(**{key: json_str(d[key], key)
                      for key in ("id", "task_id", "model_id", "device_id")},
                   compact=compact, latency_s=json_number(

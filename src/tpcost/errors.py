@@ -116,12 +116,16 @@ def read_json(path):
         raise ValidationError(f"{path}: bad JSON: {e}") from e
 
 
-def json_int(value, what: str, low: int | None = None) -> int:
-    """A JSON integer (never a bool), >= `low` if given."""
-    if type(value) is not int or low is not None and value < low:
-        bound = "" if low is None else f" >= {low}"
+def json_int(value, what: str, low: int | None = None,
+             high: float | None = None) -> int:
+    """A JSON integer (never a bool), >= `low` and <= `high` where given."""
+    if (type(value) is not int or low is not None and value < low
+            or high is not None and value > high):
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", low),
+                                                       ("<=", high))
+                            if b is not None)
         raise ValidationError(f"{what} must be a JSON integer{bound}, got "
-                              f"{value!r}")
+                              f"{brief(value)}")
     return value
 
 

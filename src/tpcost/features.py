@@ -11,6 +11,7 @@ to form the model input.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from math import log2
 from pathlib import Path
@@ -96,7 +97,8 @@ class DeviceSpec:
     def from_dict(cls, d: dict) -> "DeviceSpec":
         """A spec from a catalog entry; KeyError for a missing field."""
         return cls(name=json_str(d["name"], "name"),
-                   cores=json_int(d["cores"], "cores", 1),
+                   # float(cores) feeds the device vector
+                   cores=json_int(d["cores"], "cores", 1, sys.float_info.max),
                    **{key: json_number(d[key], key, 0.0, inclusive=False)
                       for key in ("clock_mhz", "mem_gb", "bandwidth_gbps")},
                    **{key: json_number(d.get(key, 0.0), key, 0.0)

@@ -276,7 +276,7 @@ def load_graph(path: str | Path) -> tuple[Dfg, dict[str, str]]:
             durations[index] = json_number(entry.get("duration_s", 0.0),
                                            "duration_s", 0.0)
             gaps[index] = json_number(entry.get("gap_s", 0.0), "gap_s", 0.0)
-            devices[index] = json_int(entry.get("device", 0), "device")
+            devices[index] = json_int(entry.get("device", 0), "device", 0)
             ref = entry.get("program_ref")
             if ref is not None and key_to_ref.setdefault(
                     key, json_str(ref, "program_ref")) != ref:

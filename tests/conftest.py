@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,15 @@ from tpcost.ir import ComputeStats, LoopInfo, leaf, loop, make_program
 # deterministic.
 settings.register_profile("tpcost", derandomize=True, database=None)
 settings.load_profile("tpcost")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fails a test that leaves a thread running after it returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

@@ -997,6 +997,8 @@ def test_bad_oracle_value_is_input_error(tmp_path, capsys, key, value):
     ("peak_fp32_gflops", "inf"), ("l2_cache_mb", "nan"),
     # a string or a bool is never a number
     ("clock_mhz", "1500"), ("clock_mhz", True), ("l2_cache_mb", False),
+    # a core count past the float range, which the device vector converts
+    pytest.param("cores", 10 ** 400, id="cores-10**400"),
 ])
 def test_non_finite_device_field_is_input_error(workdir, tmp_path, capsys,
                                                 field, value):

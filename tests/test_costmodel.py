@@ -160,16 +160,18 @@ def leaf_group(rng, n_leaf, n, scale=1.0):
 @pytest.fixture
 def split_calls(monkeypatch):
     """Two usable CPUs whatever the host has; records the batch size of
-    every group encoded on two threads."""
+    every group encoded on two threads, from what the worker runs for it."""
     monkeypatch.setattr(cm, "_usable_cpus", lambda: 2)
     calls = []
-    encode_split = cm._encode_split
+    encode_chunks = cm._encode_chunks
 
-    def spy(t, config, x):
-        calls.append(x.shape[0])
-        return encode_split(t, config, x)
+    def spy(t, config, mats, out):
+        # the worker fills the leading rows of its group's output array
+        if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+            calls.append(out.base.shape[0])
+        return encode_chunks(t, config, mats, out)
 
-    monkeypatch.setattr(cm, "_encode_split", spy)
+    monkeypatch.setattr(cm, "_encode_chunks", spy)
     return calls
 
 
@@ -215,6 +217,105 @@ def test_split_starts_at_the_row_floor(split_calls, n_leaf, n, splits):
     assert_same_as_cached_pass(params, leaf_group(rng, n_leaf, n), normalizer)
     # forward and predict_batch split; the cached pass never does
     assert split_calls == ([n, n] if splits else [])
+
+
+@pytest.mark.parametrize("n_leaf, n, chunk_rows", [
+    (5, 51, None), (8, 32, None), (1, 257, [256, 1]),
+    # the last chunk holds one sample: alone, and on the caller's half
+    (8, 33, [256, 8]), (8, 65, [256, 256, 8])])
+def test_chunked_inference_matches_the_cached_pass(split_calls, monkeypatch,
+                                                   n_leaf, n, chunk_rows):
+    # 255, 256 and 257 leaf rows: up to 256, one `_encode` call as before
+    rows, chunked = [], []  # rows of each inference `_encode` call, and
+    encode, encode_chunks = cm._encode, cm._encode_chunks  # samples chunked
+
+    def encode_spy(t, config, x, layer_caches=None):
+        if layer_caches is None:
+            rows.append(x.shape[0] * x.shape[1])
+        return encode(t, config, x, layer_caches)
+
+    def chunks_spy(t, config, mats, out):
+        chunked.append(len(mats))
+        return encode_chunks(t, config, mats, out)
+
+    monkeypatch.setattr(cm, "_encode", encode_spy)
+    monkeypatch.setattr(cm, "_encode_chunks", chunks_spy)
+    rng = np.random.default_rng(n)
+    params = cm.init_params(DESK)
+    normalizer = cm.fit_boxcox(rng.lognormal(-9.0, 1.0, size=50))
+    assert_same_as_cached_pass(params, leaf_group(rng, n_leaf, n), normalizer)
+    # forward's calls, then predict_batch's; two threads may interleave
+    assert sorted(rows) == sorted(2 * (chunk_rows or [n * n_leaf]))
+    assert sum(chunked) == (2 * n if chunk_rows else 0)
+    assert split_calls == ([n, n] if n * n_leaf >= cm._SPLIT_ROWS else [])
+
+
+def test_several_split_groups_start_one_thread(split_calls, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    rng = np.random.default_rng(4)
+    inputs = (leaf_group(rng, 4, 130) + leaf_group(rng, 1, 7)
+              + leaf_group(rng, 8, 70) + leaf_group(rng, 16, 40))
+    pred, _ = cm.forward(cm.init_params(DESK), inputs)
+    assert len(started) == 1
+    assert split_calls == [130, 70, 40]
+    assert pred.tobytes() == cm._forward(cm.init_params(DESK), inputs,
+                                         caches=[])[0].tobytes()
+
+
+def test_caller_exception_cancels_and_joins_the_worker(split_calls,
+                                                       monkeypatch):
+    caller = threading.get_ident()
+    layernorm_fwd = nn.layernorm_fwd
+    raised = threading.Event()
+    encode_chunks = cm._encode_chunks  # split_calls' spy
+
+    class Boom(Exception):
+        pass
+
+    def failing_in_caller(x, g, b):
+        if threading.get_ident() == caller:
+            raised.set()
+            raise Boom
+        return layernorm_fwd(x, g, b)
+
+    def worker_waits_for_the_caller(t, config, mats, out):
+        if threading.get_ident() != caller:
+            assert raised.wait(timeout=60)
+        return encode_chunks(t, config, mats, out)
+
+    monkeypatch.setattr(nn, "layernorm_fwd", failing_in_caller)
+    monkeypatch.setattr(cm, "_encode_chunks", worker_waits_for_the_caller)
+    rng = np.random.default_rng(0)
+    threads = threading.active_count()
+    with pytest.raises(Boom):
+        cm.forward(cm.init_params(DESK),
+                   leaf_group(rng, 16, 64) + leaf_group(rng, 8, 64))
+    # the worker finished the half it had started; the next never ran
+    assert split_calls == [64]
+    assert threading.active_count() == threads  # the worker was joined
+
+
+def test_inference_peak_memory_is_bounded(split_calls):
+    # a mixed batch of 2,000 inputs; the whole-group pass peaked at ~28 MB
+    rng = np.random.default_rng(6)
+    params = cm.init_params(cm.desk_config())
+    inputs = [leaf_group(rng, int(rng.integers(1, 7)), 1)[0]
+              for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        cm.forward(params, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split_calls  # the worker's half is traced too
+    assert peak <= 16 * 2 ** 20
 
 
 def test_one_usable_cpu_encodes_on_one_thread(split_calls, monkeypatch):

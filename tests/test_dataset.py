@@ -411,6 +411,7 @@ def test_jsonl_float_precision(tmp_path):
 
 
 _NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
+_NOT_AN_INDEX = "ordering must be a list: entry 0 must be a JSON integer >= 0"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -431,6 +432,15 @@ _NOT_A_LATENCY = "latency_s must be a finite JSON number > 0"
           ("n_leaf-float", "n_leaf", 1.0, "n_leaf must be a JSON integer"),
           ("ordering-float", "ordering", [3.5], "ordering must be a list"),
           ("ordering-string", "ordering", ["0"], "ordering must be a list"),
+          # an ordering entry indexes `serialized`; a huge one overflowed
+          # the positional encoding
+          ("ordering-huge", "ordering",
+           lambda d: [10 ** 400, *d["ordering"][1:]], _NOT_AN_INDEX),
+          ("ordering-past-end", "ordering",
+           lambda d: [len(d["serialized"]), *d["ordering"][1:]],
+           _NOT_AN_INDEX),
+          ("ordering-negative", "ordering",
+           lambda d: [-1, *d["ordering"][1:]], _NOT_AN_INDEX),
           ("serialized-true", "serialized", [0, True],
            "serialized must be a list"),
           ("serialized-string", "serialized", "0",
@@ -451,8 +461,8 @@ def test_jsonl_bad_sample_names_line(tmp_path, field, value, message):
     lines = [json.loads(sample_to_line(s)) for s in ds.samples]
     if value is None:
         del lines[1][field]
-    else:
-        lines[1][field] = value
+    else:  # a callable makes the value from the line
+        lines[1][field] = value(lines[1]) if callable(value) else value
     path = tmp_path / "ds.jsonl"
     path.write_text("".join(json.dumps(d) + "\n" for d in lines),
                     encoding="utf-8")

@@ -694,6 +694,14 @@ def test_load_graph_and_validation(tmp_path):
           ("id-int", "id", {"id": 1}),
           ("tir_key-list", "tir_key", {"tir_key": ["k"]}),
           ("program_ref-int", "program_ref", {"program_ref": 3})]),
+    # a device is a non-negative index, on every node or on some
+    pytest.param({"nodes": [{"id": "a", "tir_key": "k", "device": -1}]},
+                 "node 0: device must be a JSON integer >= 0",
+                 id="device-negative"),
+    pytest.param({"nodes": [{"id": "a", "tir_key": "k", "device": 1},
+                            {"id": "b", "tir_key": "k", "device": -2}]},
+                 "node 1: device must be a JSON integer >= 0",
+                 id="device-negative-on-one-node"),
 ])
 def test_load_graph_names_file_and_node(tmp_path, payload, message):
     path = tmp_path / "g.json"
