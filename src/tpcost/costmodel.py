@@ -230,7 +230,8 @@ def _encode(t: dict[str, np.ndarray], config: CostModelConfig,
 
 # Leaf rows (samples x leaves) from which an inference pass encodes a group
 # on two threads. Measured on 2 CPUs at the desk config, leaf counts 4, 8
-# and 16: the split ran at 0.3-1.0x the serial speed up to 192 rows, where
+# and 16, with a thread started for each group (since replaced by one worker
+# per call): the split ran at 0.3-1.0x the serial speed up to 192 rows, where
 # starting the thread and sharing the interpreter lock cost more than the
 # second CPU gains, 0.9-1.2x at 256 rows and 1.15-2.2x from 384 rows up
 # (1.4-2.2x at 512).
@@ -260,28 +261,21 @@ def _encode_chunks(t: dict[str, np.ndarray], config: CostModelConfig,
 
 def _forward_group(t: dict[str, np.ndarray], config: CostModelConfig,
                    indices: list[int], encs: list[EncodedInput],
-                   caches: list[_GroupCache] | None, queued=None):
+                   caches: list[_GroupCache] | None, h: np.ndarray | None):
     """One leaf-count group `encs` through the network; `t` maps tensor
-    names to the parameter views. Returns (predictions, z_x, z). Only when
-    `caches` is a list are the activations kept, in a _GroupCache appended
-    to it. Otherwise `_encode_chunks` encodes a group of over _CHUNK_ROWS
-    leaf rows; `queued` is (its output, the count of leading samples the
-    worker encodes, their future). The head runs once over the group."""
+    names to the parameter views. `h` is the group's encoder output, or None
+    to encode the group here in one call. Returns (predictions, z_x, z).
+    Only when `caches` is a list are the activations kept, in a _GroupCache
+    appended to it."""
     keep = caches is not None
     layer_caches = [] if keep else None
     bsz, length = len(encs), encs[0].n_leaf
     # one input is a view, not a copy
     stack = (lambda a: a[0][None]) if bsz == 1 else np.stack
     v = stack([e.device_vector for e in encs])
-    if keep or bsz * length <= _CHUNK_ROWS:
+    if h is None:
         x = stack([e.matrix for e in encs])
         h = _encode(t, config, x, layer_caches)
-    else:
-        h, half, first = queued or (
-            np.empty((bsz, length, config.d_model)), 0, None)
-        _encode_chunks(t, config, [e.matrix for e in encs[half:]], h[half:])
-        if first is not None:
-            first.result()
     flat = h.reshape(bsz, length * config.d_model)
     z_x, _ = nn.linear_fwd(flat, *_layer(f"leaf_embed.{length}")(t))
     dev_pre, _ = nn.linear_fwd(v, *_layer("dev.hidden")(t))
@@ -310,10 +304,11 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
              ) -> tuple[np.ndarray, LatentBatch]:
     """Returns (predictions, LatentBatch). Inputs may mix leaf counts; they
     are grouped so that every sample is encoded over exactly its own n_leaf
-    rows. Only `backward` passes `caches`, a list that receives one
-    _GroupCache per group. Without it, one worker thread started and joined
-    here encodes the first half of each group of at least _SPLIT_ROWS rows
-    in a copy of the caller's context. An error cancels the queued halves."""
+    rows, one group at a time. Only `backward` passes `caches`, a list that
+    receives one _GroupCache per group. Without it, one worker thread,
+    started and joined here, encodes the first half of the chunks of each
+    group of at least _SPLIT_ROWS rows in a copy of the caller's context;
+    an error on either thread cancels its queued half and joins it."""
     if not inputs:
         raise EmptyBatch("forward needs at least one input")
     config = params.config
@@ -329,23 +324,26 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     z_x_all = np.empty((n, config.d_embed))
     z_all = np.empty((n, config.d_embed))
     t = params.tensors.views
-    split = [k for k in sorted(groups) if caches is None
-             and len(groups[k]) > 1 and k * len(groups[k]) >= _SPLIT_ROWS]
+    split = {k for k, idx in groups.items() if caches is None
+             and len(idx) > 1 and k * len(idx) >= _SPLIT_ROWS}
     worker = ThreadPoolExecutor(1) if split and _usable_cpus() > 1 else None
-    queued = {}
     try:
-        for n_leaf in split if worker else ():
-            idx = groups[n_leaf]
-            h = np.empty((len(idx), n_leaf, config.d_model))
-            half = len(idx) // 2
-            queued[n_leaf] = h, half, worker.submit(
-                contextvars.copy_context().run, _encode_chunks, t, config,
-                [inputs[i].matrix for i in idx[:half]], h[:half])
         for n_leaf in sorted(groups):
             idx = groups[n_leaf]
+            mats, h = [inputs[i].matrix for i in idx], None
+            if caches is None and len(idx) * n_leaf > _CHUNK_ROWS:
+                h = np.empty((len(idx), n_leaf, config.d_model))
+                step = max(1, _CHUNK_ROWS // n_leaf)
+                half = (-(-len(idx) // step) // 2 * step
+                        if worker and n_leaf in split else 0)
+                first = worker.submit(
+                    contextvars.copy_context().run, _encode_chunks, t,
+                    config, mats[:half], h[:half]) if half else None
+                _encode_chunks(t, config, mats[half:], h[half:])
+                if first is not None:
+                    first.result()
             pred[idx], z_x_all[idx], z_all[idx] = _forward_group(
-                t, config, idx, [inputs[i] for i in idx], caches,
-                queued.pop(n_leaf, None))
+                t, config, idx, [inputs[i] for i in idx], caches, h)
     finally:
         if worker is not None:
             worker.shutdown(cancel_futures=True)
@@ -355,11 +353,12 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
 def forward(params: CostModelParams,
             inputs: list[EncodedInput]) -> tuple[np.ndarray, LatentBatch]:
     """Predictions (in normalized label space) and latent embeddings. No
-    activations are retained (only `backward` keeps them), and a group of
-    more than _CHUNK_ROWS leaf rows is encoded in chunks of at most that
-    many, so each thread holds at most one chunk's activations. One worker
-    thread per call, given two usable CPUs, encodes half of each group of
-    at least _SPLIT_ROWS rows. No result bit depends on chunks or threads."""
+    activations are retained (only `backward` keeps them): groups are
+    encoded one at a time, in chunks of at most _CHUNK_ROWS leaf rows, so
+    the pass holds one group's encoder output and one chunk's activations
+    per thread. One worker thread per call, given two usable CPUs, encodes
+    the first half of the chunks of each group of at least _SPLIT_ROWS rows.
+    No result bit depends on chunks or threads."""
     return _forward(params, inputs)
 
 
@@ -802,9 +801,10 @@ def predict(params: CostModelParams, compact: CompactAst, device: DeviceSpec,
 def predict_batch(params: CostModelParams, inputs: list[EncodedInput],
                   normalizer: BoxCoxNormalizer) -> np.ndarray:
     """Latencies in seconds for a batch that may mix leaf counts: one
-    `forward` pass over the whole batch, which holds at most one chunk of
-    _CHUNK_ROWS leaf rows' activations per thread and uses one worker
-    thread per call. No result bit depends on chunks or threads."""
+    `forward` pass over the whole batch, which holds one leaf-count group's
+    encoder output and at most one chunk of _CHUNK_ROWS leaf rows'
+    activations per thread, and uses one worker thread per call. No result
+    bit depends on chunks or threads."""
     pred_enc, _ = forward(params, inputs)
     return normalizer.decode(pred_enc)
 
