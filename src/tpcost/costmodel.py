@@ -329,9 +329,9 @@ def _forward(params: CostModelParams, inputs: list[EncodedInput], *,
     worker = ThreadPoolExecutor(1) if split and _usable_cpus() > 1 else None
     try:
         for n_leaf in sorted(groups):
-            idx = groups[n_leaf]
-            mats, h = [inputs[i].matrix for i in idx], None
+            idx, h = groups[n_leaf], None
             if caches is None and len(idx) * n_leaf > _CHUNK_ROWS:
+                mats = [inputs[i].matrix for i in idx]
                 h = np.empty((len(idx), n_leaf, config.d_model))
                 step = max(1, _CHUNK_ROWS // n_leaf)
                 half = (-(-len(idx) // step) // 2 * step
